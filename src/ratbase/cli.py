@@ -12,6 +12,7 @@ import json
 import math
 import random
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .adelic import (AdeleContext, ScaleExceeded, boundary_tubes, char_tilde,
@@ -48,17 +49,20 @@ def _fraction(text: str) -> Fraction:
 
 
 def _count(text: str) -> int:
-    """Nonnegative integer, also accepted in scientific notation (1e6)."""
+    """Nonnegative integer, also accepted exactly in scientific notation (1e23)."""
     try:
         n = int(text)
     except ValueError:
         try:
-            v = float(text)
-        except ValueError as exc:
+            v = Decimal(text)
+        except InvalidOperation as exc:
             raise argparse.ArgumentTypeError(f"not a count: {text!r}") from exc
-        n = int(v)
-        if v != n:
+        # int() refuses decimal strings over 4300 digits; so does this, before
+        # a huge exponent can stall the conversion
+        if (not v.is_finite() or v.adjusted() >= 4300
+                or v != v.to_integral_value()):
             raise argparse.ArgumentTypeError(f"not an integer count: {text!r}")
+        n = int(v)
     if n < 0:
         raise argparse.ArgumentTypeError("count must be nonnegative")
     return n
@@ -117,15 +121,14 @@ def cmd_patterns(args) -> int:
     base = _base_of(args)
     pattern = Pattern.parse(base, args.w)
     if args.k is not None:
-        print(count_pattern_at(base, pattern, args.k, args.N,
-                               padded=args.padded, workers=args.threads))
+        print(count_pattern_at(base, pattern, args.k, args.N, padded=args.padded))
         return EXIT_OK
     if args.horizons:
-        rows = asymptotic_report(base, pattern, args.horizons, workers=args.threads)
+        rows = asymptotic_report(base, pattern, args.horizons)
         text = report_json(rows) if args.format == "json" else report_csv(rows)
         _write_out(args, text)
         return EXIT_OK
-    stats = count_pattern(base, pattern, args.N, workers=args.threads)
+    stats = count_pattern(base, pattern, args.N)
     if args.format == "json":
         _write_out(args, json.dumps({
             "base": f"{base.a}/{base.b}",
@@ -142,7 +145,7 @@ def cmd_patterns(args) -> int:
 
 
 def cmd_sod_sum(args) -> int:
-    print(summatory_sod(_base_of(args), args.N, workers=args.threads))
+    print(summatory_sod(_base_of(args), args.N))
     return EXIT_OK
 
 
@@ -391,13 +394,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--horizons", type=_horizons, default=None)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_patterns)
 
     sp = sub.add_parser("sod-sum", help="summatory sum-of-digits")
     base_flags(sp)
     sp.add_argument("--N", type=_count, required=True)
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_sod_sum)
 
     sp = sub.add_parser("stream", help="prefix of the concatenated digit stream")

@@ -6,23 +6,34 @@ the word; the primed variant S'_{k,w}(N) matches against zero-padded digits
 eps_k(n) = 0 for k >= length(n).  Summing over k gives S_w(N), which grows
 like N * a^(-|w|) * log_alpha(N).
 
-Counting re-encodes every integer independently.  The heavy path runs the
-division recurrence on int64 numpy blocks, one digit level at a time, so a
-range scan costs O(log N) vectorized passes; block counts add, which is what
-makes range partitioning (and the --threads flag) sound.
+Counting is exact for every N and never visits the integers one by one.
+It rests on the map T(n) = floor(b n / a) (Akiyama, Frougny and Sakarovitch,
+Israel J. Math. 168, 2008):
+
+- eps_k(n) = b T^k(n) mod a, and the m digits of n from position k up are the
+  m lowest digits of q = T^k(n), which fix q mod a^m and are fixed by it;
+  so a window w is a single residue r_w mod a^m.
+- T is nondecreasing, so {n : T^k(n) = q} is an interval
+  [lo_k(q), lo_k(q + 1)) with lo(q) = ceil(a q / b).
+- lo_k(q + b^k) = lo_k(q) + a^k: interval sizes repeat with period b^k.
+
+A count is then whole periods times a^k plus fewer than b^k interval sizes
+summed directly, about N^(log b / log a) steps over all positions; b = 1
+costs O(log N).  The RATBASE_MAX_ENUM budget is charged that leftover sweep
+length, not N.
 
 The stream z_1 z_2 z_3 ... concatenates the words of 1, 2, 3, ... in print
 order.  gamma_w(x) counts positions n <= x with (z_{n+|w|-1}, ..., z_n) = w,
 the window convention under which the stream's digit statistics mirror the
-per-word counts.
+per-word counts.  Stream counts materialize the prefix, charging x digits to
+the budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -31,7 +42,9 @@ import numpy as np
 from .adelic import _check_budget
 from .numeration import Base, encode, format_digits, length, parse_digits
 
-_CHUNK = 1 << 19
+_BLOCK = 1 << 16
+_VECTOR_MIN = 32
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -76,120 +89,131 @@ class PatternStats:
     total: int
 
 
-def _require_kernel_range(base: Base, N: int) -> None:
+def _residue(base: Base, w_lsf: Sequence[int]) -> int:
+    """The residue r_w mod a^m of the q whose m lowest digits are w_0..w_{m-1}.
+
+    Lifts from the top digit down: q_j = (w_j + a q_{j+1}) / b, known mod
+    a^(m-j) once q_{j+1} is known mod a^(m-j-1).
+    """
+    a, b = base.a, base.b
+    m = len(w_lsf)
+    x = 0
+    for j in reversed(range(m)):
+        mod = a ** (m - j)
+        x = (w_lsf[j] + a * x) * pow(b, -1, mod) % mod
+    return x
+
+
+def _lo(a: int, b: int, q, k: int):
+    """lo_k(q), the least n with T^k(n) >= q; q is an int or an int64 array."""
+    for _ in range(k):
+        q = -(-a * q // b)
+    return q
+
+
+def _interval_sizes(a: int, b: int, k: int, first: int, step: int, count: int,
+                    N: int) -> int:
+    """Sum of |{n : T^k(n) = q}| over q = first + step*t, 0 <= t < count.
+
+    Every q here lies below T^k(N), so every lo_k value stays <= N and the
+    sweep fits int64 whenever a*N does.  Short sweeps and huge N use Python
+    integers; long ones run on numpy blocks.
+    """
+    if count < _VECTOR_MIN or a * N > _INT64_MAX:
+        return sum(_lo(a, b, q + 1, k) - _lo(a, b, q, k)
+                   for q in range(first, first + step * count, step))
+    total = 0
+    for start in range(0, count, _BLOCK):
+        q = first + step * np.arange(start, min(start + _BLOCK, count), dtype=np.int64)
+        total += int(_lo(a, b, q + 1, k).sum() - _lo(a, b, q, k).sum())
+    return total
+
+
+def _progression_counts(base: Base, jobs: Sequence[tuple[int, int]], step: int,
+                        N: int) -> list[int]:
+    """#{1 <= n <= N : T^k(n) in first + step*Z>=0} for each job (k, first).
+
+    The q = T^k(n) below Q = T^k(N) contribute whole intervals whose sizes
+    repeat with period b^k in q and sum to a^k over a period; since
+    gcd(step, b) = 1, every b^k consecutive progression terms make one
+    period.  Fewer than b^k leftover terms are summed directly, q = Q adds
+    the part of its interval up to N, and n = 0 sits in the interval of q = 0.
+    The leftover sweep lengths are charged to the budget before any runs.
+    """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    if N >= (1 << 62) // base.b:
-        raise ValueError(f"N = {N} too large for the int64 counting kernel")
-    _check_budget(N)
-
-
-def _chunk_window_counts(a: int, b: int, ns: np.ndarray, w_lsf: tuple[int, ...],
-                         k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window matches at positions 0..k_max over one block of integers.
-
-    Returns (exact, padded) int64 arrays: exact[k] additionally requires the
-    top window digit to be a real digit, i.e. length(n) >= k + |w|.
-    """
-    m = len(w_lsf)
-    cur = ns.astype(np.int64, copy=True)
-    window: deque[np.ndarray] = deque(maxlen=m)
-    top_alive = None
-    exact = np.zeros(k_max + 1, dtype=np.int64)
-    padded = np.zeros(k_max + 1, dtype=np.int64)
-    for j in range(k_max + m):
-        live = cur > 0
-        bn = b * cur
-        window.append(bn % a)
-        cur = bn // a
-        top_alive = live
-        if len(window) == m:
-            k = j - m + 1
-            mask = window[0] == w_lsf[0]
-            for i in range(1, m):
-                mask = mask & (window[i] == w_lsf[i])
-            padded[k] = np.count_nonzero(mask)
-            exact[k] = np.count_nonzero(mask & top_alive)
-    return exact, padded
-
-
-def _scan_window_counts(base: Base, w_lsf: tuple[int, ...], N: int, k_max: int,
-                        workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    _require_kernel_range(base, N)
     a, b = base.a, base.b
-    exact = np.zeros(k_max + 1, dtype=np.int64)
-    padded = np.zeros(k_max + 1, dtype=np.int64)
-    if N == 0:
-        return exact, padded
-    ranges = [(lo, min(lo + _CHUNK, N + 1)) for lo in range(1, N + 1, _CHUNK)]
+    orbit = [N]  # T^k(N) down to the first zero
+    while orbit[-1]:
+        orbit.append(b * orbit[-1] // a)
+    plans = []
+    for k, first in jobs:
+        Q = orbit[k] if k < len(orbit) else 0
+        below = -(-(Q - first) // step) if Q > first else 0
+        full, left = divmod(below, b ** k) if below else (0, 0)
+        plans.append((k, first, Q, full, left))
+    _check_budget(sum(plan[-1] for plan in plans))
+    counts = []
+    for k, first, Q, full, left in plans:
+        c = _interval_sizes(a, b, k, first, step, left, N)
+        if full:
+            c += full * a ** k
+        if Q >= first and (Q - first) % step == 0:
+            c += N + 1 - (_lo(a, b, Q, k) if Q else 0)
+        counts.append(c - (first == 0))
+    return counts
 
-    def work(rg: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        ns = np.arange(rg[0], rg[1], dtype=np.int64)
-        return _chunk_window_counts(a, b, ns, w_lsf, k_max)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(work, ranges))
-    else:
-        parts = [work(rg) for rg in ranges]
-    for e, p in parts:
-        exact += e
-        padded += p
-    return exact, padded
+def _window_starts(base: Base, pattern: Pattern) -> tuple[int, int]:
+    """First terms (exact, padded) of the q = T^k(n) progressions, step a^m.
+
+    The window matches at position k exactly when q = T^k(n) is r_w mod a^m.
+    Its top digit is real when T^(m-1)(q) >= 1, i.e. q >= lo_{m-1}(1) <= a^(m-1),
+    so the exact count skips the term r_w when it lies below.
+    """
+    m = len(pattern)
+    r = _residue(base, pattern.lsf)
+    return (r + base.a ** m if r < _lo(base.a, base.b, 1, m - 1) else r), r
 
 
 def count_pattern_at(base: Base, pattern: Pattern, k: int, N: int,
-                     padded: bool = False, workers: int = 1) -> int:
+                     padded: bool = False) -> int:
     """S_{k,w}(N), or S'_{k,w}(N) with padded=True."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    exact, pad = _scan_window_counts(base, pattern.lsf, N, k, workers)
-    return int(pad[k] if padded else exact[k])
+    r_exact, r = _window_starts(base, pattern)
+    job = (k, r if padded else r_exact)
+    return _progression_counts(base, [job], base.a ** len(pattern), N)[0]
 
 
-def count_pattern(base: Base, pattern: Pattern, N: int,
-                  workers: int = 1) -> PatternStats:
+def count_pattern(base: Base, pattern: Pattern, N: int) -> PatternStats:
     """All per-position counts for w up to N, plus the total S_w(N).
 
     Exact positions run over 0 <= k <= length(N) - |w|; padded positions are
     reported for 0 <= k <= length(N) (count_pattern_at serves larger k).
     """
-    m = len(pattern)
     ell = length(base, N)
-    k_max = ell
-    exact, padded = _scan_window_counts(base, pattern.lsf, N, k_max, workers)
-    per_position = {k: int(exact[k]) for k in range(0, max(ell - m, -1) + 1)}
-    padded_per_position = {k: int(padded[k]) for k in range(0, ell + 1)}
+    exact_ks = range(max(ell - len(pattern), -1) + 1)
+    r_exact, r = _window_starts(base, pattern)
+    jobs = sorted({(k, r_exact) for k in exact_ks} | {(k, r) for k in range(ell + 1)})
+    counts = dict(zip(jobs, _progression_counts(base, jobs, base.a ** len(pattern), N)))
+    per_position = {k: counts[k, r_exact] for k in exact_ks}
     return PatternStats(
         pattern=pattern,
         N=N,
         per_position=per_position,
-        padded_per_position=padded_per_position,
+        padded_per_position={k: counts[k, r] for k in range(ell + 1)},
         total=sum(per_position.values()),
     )
 
 
-def summatory_sod(base: Base, N: int, workers: int = 1) -> int:
-    """Sum of s(n) for 1 <= n <= N; equals sum_d d * S_{(d)}(N)."""
-    _require_kernel_range(base, N)
-    a, b = base.a, base.b
-    if N == 0:
-        return 0
-
-    def work(rg: tuple[int, int]) -> int:
-        cur = np.arange(rg[0], rg[1], dtype=np.int64)
-        tot = 0
-        while cur.any():
-            bn = b * cur
-            tot += int((bn % a).sum(dtype=np.int64))
-            cur = bn // a
-        return tot
-
-    ranges = [(lo, min(lo + _CHUNK, N + 1)) for lo in range(1, N + 1, _CHUNK)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return sum(ex.map(work, ranges))
-    return sum(work(rg) for rg in ranges)
+def summatory_sod(base: Base, N: int) -> int:
+    """Sum of s(n) for 1 <= n <= N; equals sum_d d * S'_{(d)}(N) over positions."""
+    digits = range(1, base.a)
+    residues = [_residue(base, (d,)) for d in digits]
+    jobs = [(k, r) for k in range(length(base, N)) for r in residues]
+    counts = _progression_counts(base, jobs, base.a, N)
+    return sum(d * c for d, c in zip(itertools.cycle(digits), counts))
 
 
 def champernowne_stream(base: Base) -> Iterator[int]:
@@ -202,6 +226,7 @@ def champernowne_stream(base: Base) -> Iterator[int]:
 
 def champernowne_digits(base: Base, m: int) -> list[int]:
     """First m digits of the stream."""
+    _check_budget(m)
     out = []
     stream = champernowne_stream(base)
     for _ in range(m):
@@ -215,8 +240,9 @@ def champernowne_prefix_array(base: Base, m: int) -> np.ndarray:
     out = np.empty(m, dtype=np.int8)
     filled = 0
     n0 = 1
-    block = 1 << 17
     while filled < m:
+        # every n >= n0 has at least length(n0) digits
+        block = min(1 << 17, -(-(m - filled) // length(base, n0)))
         ns = np.arange(n0, n0 + block, dtype=np.int64)
         n0 += block
         levels: list[np.ndarray] = []
@@ -246,39 +272,28 @@ def champernowne_freq(base: Base, pattern: Pattern, x: int) -> int:
     """gamma_w(x): window matches (z_{n+|w|-1}, ..., z_n) = w for n <= x."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 0
-    if x > 100_000:
-        counts = champernowne_freq_bulk(base, [pattern], [x])
-        return counts[pattern.word][0]
-    t = pattern.lsf  # arrival order: z_n matches w_0 first
-    m = len(t)
-    win: deque[int] = deque(maxlen=m)
-    stream = champernowne_stream(base)
-    count = 0
-    for i in range(1, x + m):
-        win.append(next(stream))
-        if i >= m and i - m + 1 <= x and tuple(win) == t:
-            count += 1
-    return count
+    return champernowne_freq_bulk(base, [pattern], [x])[pattern.word][0]
 
 
 def champernowne_freq_bulk(base: Base, patterns: Sequence[Pattern],
                            checkpoints: Sequence[int]) -> dict[tuple[int, ...], list[int]]:
-    """gamma_w at several x for several w from one materialized prefix."""
+    """gamma_w at several x for several w from one materialized prefix.
+
+    Each list holds the counts in ascending order of the checkpoints.
+    """
     xs = sorted(checkpoints)
+    if xs and xs[0] < 0:
+        raise ValueError("checkpoints must be nonnegative")
+    n_count = xs[-1] if xs else 0
+    _check_budget(n_count)
     m_max = max(len(p) for p in patterns)
-    arr = champernowne_prefix_array(base, xs[-1] + m_max - 1) if xs else np.empty(0, np.int8)
+    arr = champernowne_prefix_array(base, n_count + m_max - 1)
     out: dict[tuple[int, ...], list[int]] = {}
     for p in patterns:
-        t = p.lsf
-        m = len(t)
-        n_count = xs[-1]
         mask = np.ones(n_count, dtype=bool)
-        for j, tj in enumerate(t):
+        for j, tj in enumerate(p.lsf):
             mask &= arr[j:j + n_count] == tj
-        cum = np.cumsum(mask)
-        out[p.word] = [int(cum[x - 1]) for x in xs]
+        out[p.word] = [int(np.count_nonzero(mask[:x])) for x in xs]
     return out
 
 
@@ -291,8 +306,8 @@ class ReportRow:
     residual_norm: float
 
 
-def asymptotic_report(base: Base, pattern: Pattern, horizons: Sequence[int],
-                      workers: int = 1) -> list[ReportRow]:
+def asymptotic_report(base: Base, pattern: Pattern,
+                      horizons: Sequence[int]) -> list[ReportRow]:
     """S_w against its main term N a^(-|w|) log_alpha N at several horizons.
 
     residual_norm divides the residual by N log log N (natural logs), so each
@@ -303,7 +318,7 @@ def asymptotic_report(base: Base, pattern: Pattern, horizons: Sequence[int],
     for N in horizons:
         if N < 16:
             raise ValueError("horizons must be >= 16 so that log log N > 0")
-        s_w = count_pattern(base, pattern, N, workers=workers).total
+        s_w = count_pattern(base, pattern, N).total
         main = N * base.a ** (-len(pattern)) * math.log(N) / log_alpha
         residual = s_w - main
         rows.append(ReportRow(

@@ -76,7 +76,7 @@ class TestPatternsCommand:
         assert [x["N"] for x in recs] == [100, 1000]
 
     def test_scale_guard_exit_code(self):
-        r = run_cli("patterns", *BASE32, "--w", "2", "--N", "100000",
+        r = run_cli("patterns", *BASE32, "--w", "2", "--N", "1e9",
                     env_extra={"RATBASE_MAX_ENUM": "1000"})
         assert r.returncode == 3
 
@@ -84,12 +84,28 @@ class TestPatternsCommand:
         r = run_cli("patterns", *BASE32, "--w", "2", "--k", "0", "--N", "1e3")
         assert r.returncode == 0
 
+    def test_scientific_notation_is_exact(self):
+        r = run_cli("encode", "--a", "10", "--b", "1", "1e23")
+        assert r.returncode == 0
+        assert r.stdout.strip() == str(10**23)
+
+    def test_rejects_non_integer_counts(self):
+        for text in ("1.5", "1e-3"):
+            r = run_cli("patterns", *BASE32, "--w", "2", "--N", text)
+            assert r.returncode == 64, text
+
 
 class TestOtherCommands:
     def test_sod_sum(self):
         r = run_cli("sod-sum", *BASE32, "--N", "10")
         assert r.returncode == 0
         assert r.stdout.strip().endswith("46")
+
+    def test_stream_budget_exit_code(self):
+        r = run_cli("stream", *BASE32, "--N", "200000",
+                    env_extra={"RATBASE_MAX_ENUM": "1000"})
+        assert r.returncode == 3
+        assert r.stdout == ""
 
     def test_stream(self):
         r = run_cli("stream", *BASE32, "--N", "10")

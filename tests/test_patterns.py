@@ -1,4 +1,4 @@
-"""Pattern counting: frozen values, kernel-vs-scan agreement, stream laws."""
+"""Pattern counting: frozen values, engine-vs-scan agreement, stream laws."""
 import json
 import math
 import random
@@ -19,6 +19,7 @@ from ratbase import (
     champernowne_stream,
     count_pattern,
     count_pattern_at,
+    length,
     report_csv,
     report_json,
     summatory_sod,
@@ -26,6 +27,7 @@ from ratbase import (
 from helpers import BASES, scan_count, stream_prefix, stream_scan, word_digits
 
 KERNEL_BASES = [Base(3, 2), Base(5, 2), Base(10, 1)]
+ENGINE_BASES = BASES + [Base(7, 6)]
 
 
 class TestPatternType:
@@ -59,41 +61,131 @@ class TestFrozenCounts:
         assert summatory_sod(b32, 1) == 2
 
 
+def _random_case(rng, base):
+    """A window (all-zero ones included), N, and a position up to past length(N)."""
+    m = rng.randint(1, 3)
+    if rng.random() < 0.25:
+        w = (0,) * m
+    else:
+        w = tuple(rng.randrange(base.a) for _ in range(m))
+    N = rng.choice([0, 1, 2, 50, 400, rng.randint(3, 3000)])
+    k = rng.randint(0, length(base, N) + 2)
+    return w, k, N
+
+
 class TestKernelAgainstScan:
-    @pytest.mark.parametrize("base", KERNEL_BASES, ids=lambda b: f"{b.a}_{b.b}")
+    @pytest.mark.parametrize("base", ENGINE_BASES, ids=lambda b: f"{b.a}_{b.b}")
     def test_fixed_cases(self, base):
         rng = random.Random(17)
-        for _ in range(25):
-            m = rng.randint(1, 3)
-            w = tuple(rng.randrange(base.a) for _ in range(m))
-            if all(x == 0 for x in w):
-                w = (1,) + w[1:]
-            k = rng.randint(0, 6)
-            N = rng.choice([50, 400])
+        for _ in range(30):
+            w, k, N = _random_case(rng, base)
             pat = Pattern(base, w)
             assert count_pattern_at(base, pat, k, N) == scan_count(base, w, k, N)
             assert count_pattern_at(base, pat, k, N, padded=True) == \
                 scan_count(base, w, k, N, padded=True)
 
-    @given(st.sampled_from(KERNEL_BASES), st.integers(0, 5), st.integers(1, 300),
+    @given(st.sampled_from(ENGINE_BASES), st.integers(0, 2000), st.booleans(),
            st.data())
-    def test_property(self, base, k, N, data):
+    def test_property(self, base, N, padded, data):
         m = data.draw(st.integers(1, 3))
         w = tuple(data.draw(st.integers(0, base.a - 1)) for _ in range(m))
-        if all(x == 0 for x in w):
-            w = (1,) + w[1:]
+        k = data.draw(st.integers(0, length(base, N) + 2))
         pat = Pattern(base, w)
-        assert count_pattern_at(base, pat, k, N) == scan_count(base, w, k, N)
+        assert count_pattern_at(base, pat, k, N, padded=padded) == \
+            scan_count(base, w, k, N, padded=padded)
+
+    # (base, w, k) at N = 20000 whose leftover sweeps are long enough to run
+    # on numpy blocks; 5/2 and 10/1 only reach them far beyond a scan
+    @pytest.mark.parametrize("a,b,w,k", [
+        (3, 2, (1,), 9), (3, 2, (0, 0), 8), (5, 3, (1,), 6), (5, 3, (0, 0), 5),
+        (7, 4, (1,), 5), (7, 4, (0, 0), 4), (7, 6, (1,), 5), (7, 6, (0, 0), 4)])
+    def test_long_sweeps(self, a, b, w, k):
+        base = Base(a, b)
+        for padded in (False, True):
+            assert count_pattern_at(base, Pattern(base, w), k, 20000, padded=padded) == \
+                scan_count(base, w, k, 20000, padded=padded)
+
+    def test_all_zero_pattern_skips_n_zero(self, b32):
+        # r_w = 0 puts n = 0 in the interval of q = 0; it must not be counted
+        for N in (0, 1, 2, 3, 10):
+            for k in (0, 1, 4):
+                assert count_pattern_at(b32, Pattern(b32, (0, 0)), k, N, padded=True) == \
+                    scan_count(b32, (0, 0), k, N, padded=True)
+
+    def test_far_position_is_constant_time(self, b32):
+        zero = Pattern(b32, (0,))
+        assert count_pattern_at(b32, zero, 10**9, 10, padded=True) == 10
+        assert count_pattern_at(b32, zero, 10**9, 10) == 0
+        assert count_pattern_at(b32, Pattern(b32, (2,)), 10**9, 10, padded=True) == 0
 
     def test_workers_agree(self, b32):
-        pat = Pattern(b32, (2, 1))
-        assert count_pattern(b32, pat, 20000, workers=3).total == \
-            count_pattern(b32, pat, 20000, workers=1).total
+        # frozen from the int64 window kernel, which split N across threads
+        assert count_pattern(b32, Pattern(b32, (2, 1)), 20000).total == 56986
 
     def test_scale_guard(self, b32, monkeypatch):
         monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
         with pytest.raises(ScaleExceeded):
-            count_pattern(b32, Pattern(b32, (2,)), 5000)
+            count_pattern(b32, Pattern(b32, (2,)), 10**9)
+
+
+class TestFrozenKernelTotals:
+    """Totals of the int64 window kernel this engine replaced, frozen before
+    its removal; they check the engine where it runs, far past any scan."""
+
+    def test_report_horizons_32(self, b32):
+        rows = asymptotic_report(b32, Pattern(b32, (2, 1)),
+                                 [10**4, 10**5, 10**6, 10**7, 10**8])
+        assert [r.s_w for r in rows] == \
+            [26661, 327839, 3898746, 45478379, 518249151]
+
+    def test_base_74(self):
+        b74 = Base(7, 4)
+        pat = Pattern(b74, (3, 1))
+        assert count_pattern(b74, pat, 5 * 10**6).total == 2150161
+        assert count_pattern(b74, pat, 10**7).total == 4922466
+        assert count_pattern(b74, pat, 10**8).total == 56670352
+
+    def test_all_zero_pattern_52(self):
+        b52 = Base(5, 2)
+        for N, total, padded_total in [(10**7, 5705566, 28154766),
+                                       (10**8, 65117986, 242925600)]:
+            stats = count_pattern(b52, Pattern(b52, (0, 0)), N)
+            assert stats.total == total
+            assert sum(stats.padded_per_position.values()) == padded_total
+
+    def test_base_76(self):
+        b76 = Base(7, 6)
+        assert count_pattern(b76, Pattern(b76, (5,)), 10**7).total == 124391129
+
+    def test_summatory_sod(self, b32):
+        assert summatory_sod(b32, 10**7) == 373115710
+        assert summatory_sod(b32, 10**8) == 4307178841
+        assert summatory_sod(Base(7, 4), 10**8) == 9329335729
+        assert summatory_sod(Base(5, 2), 10**7) == 340487435
+        assert summatory_sod(Base(10, 1), 10**7) == 315000001
+
+
+class TestBeyondInt64:
+    def test_decimal_closed_form(self):
+        # digit d >= 1 fills n * 10^(n-1) places among 1..10^n - 1
+        b10 = Base(10, 1)
+        N = 10**30 - 1
+        for d in (1, 7):
+            assert count_pattern(b10, Pattern(b10, (d,)), N).total == 30 * 10**29
+        assert summatory_sod(b10, N) == 45 * 30 * 10**29
+
+    def test_padded_digits_tile_at_huge_n(self, b32):
+        N = 2**70 + 12345
+        ell = length(b32, N)
+        for k in (ell - 12, ell - 1, ell, ell + 3):
+            assert sum(count_pattern_at(b32, Pattern(b32, (d,)), k, N, padded=True)
+                       for d in range(3)) == N
+
+    def test_budget_charges_the_sweep_not_n(self, b32, monkeypatch):
+        monkeypatch.setenv("RATBASE_MAX_ENUM", str(10**6))
+        N = 10**9
+        assert sum(count_pattern_at(b32, Pattern(b32, (d,)), 3, N, padded=True)
+                   for d in range(3)) == N
 
 
 class TestCountingIdentities:
@@ -169,11 +261,31 @@ class TestChampernowneStream:
             assert got == stream_scan(base, pat.word, x)
 
     def test_bulk_path_agrees_with_scan(self, b32):
-        # 120000 forces the vectorized branch
         pat = Pattern(b32, (2,))
         out = champernowne_freq_bulk(b32, [pat], [50, 120000])
         assert out[(2,)][0] == stream_scan(b32, (2,), 50)
         assert out[(2,)][1] == stream_scan(b32, (2,), 120000)
+
+    def test_prefix_array_across_blocks(self):
+        # the 10/1 stream is the decimal Champernowne word; a million digits
+        # take several blocks and end inside a number
+        b10 = Base(10, 1)
+        m = 1_000_003
+        text = "".join(str(n) for n in range(1, 200_000))
+        want = [int(c) for c in text[:m]]
+        assert champernowne_prefix_array(b10, m).tolist() == want
+
+    def test_budget(self, b32, monkeypatch):
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
+        pat = Pattern(b32, (2, 1))
+        assert len(champernowne_digits(b32, 1000)) == 1000
+        assert champernowne_freq(b32, pat, 1000) == stream_scan(b32, (2, 1), 1000)
+        with pytest.raises(ScaleExceeded):
+            champernowne_digits(b32, 1001)
+        with pytest.raises(ScaleExceeded):
+            champernowne_freq(b32, pat, 1001)
+        with pytest.raises(ScaleExceeded):
+            champernowne_freq_bulk(b32, [pat], [10, 1001])
 
 
 class TestReports:
