@@ -2,13 +2,12 @@
 the adelic tiling picture behind them, and exact Fourier machinery."""
 
 from .adelic import (AdeleContext, AdelePoint, BoundaryAmbiguous, BoundaryTube,
-                     BoxIndex, BoxLocation, NotIntegral, ScaleExceeded,
-                     TileApprox, boundary_tube, boundary_tubes, char_exponent,
-                     char_tilde, character, classify_digit, corner_of_residues,
-                     count_boundary_hits, cover_census, fiber_coordinate,
-                     fiber_interval, frac_p, in_z_alpha, locate_box,
-                     membership_point, reduce_mod_lattice, tile_approx,
-                     tile_corners, verify_residue_system)
+                     BoxLocation, NotIntegral, ScaleExceeded, boundary_tube,
+                     boundary_tubes, char_exponent, char_tilde, character,
+                     classify_digit, corner_of_residues, count_boundary_hits,
+                     cover_census, fiber_coordinate, fiber_interval, frac_p,
+                     in_z_alpha, locate_box, membership_point,
+                     reduce_mod_lattice, tile_corners, verify_residue_system)
 from .fourier import (FourierCoefficient, SeriesEval, SeriesTruncation,
                       coeff_f, coeff_f_sum, coeff_g, coefficient_table,
                       eval_urysohn_direct, eval_urysohn_series,

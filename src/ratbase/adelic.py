@@ -6,9 +6,13 @@ rational q embeds diagonally as Phi(q) = (q, q, ...).  The ring Z[alpha] =
 Z[1/b] sits in K as a cocompact lattice, with fundamental domain
 D_0 = [0,1] x prod Z_p of measure 1 (each Z_p has measure 1).
 
-Everything here is exact: points are Fractions, the p-adic fractional part
-lambda_p is computed with a modular inverse, and box/tile geometry reduces to
-valuation inequalities and interval arithmetic over Q.
+Everything here is exact.  Fraction is only the input and output type: the
+p-adic fractional part lambda_p is computed with a modular inverse, and the
+box geometry runs on integers.  Every level-r corner is X / a^r for an
+integer X, and a corner's class mod Z[1/b] is the integer X b^(-r) mod a^r,
+from which the residues e_1..e_r peel off (see _peel).  Point location,
+tile corners, boundary tubes and fiber intervals work on such numerators
+over a^r and b-powers and build one Fraction per returned value.
 
 Level-r boxes are translates of D_r = alpha^(-r) D_0: a box with corner c in
 alpha^(-r) Z[1/b] is the product of the real interval [c, c + alpha^(-r)]
@@ -21,6 +25,7 @@ level-r approximation of the self-affine tile attached to digit d.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -183,61 +188,36 @@ def reduce_mod_lattice(ctx: AdeleContext, z) -> tuple[Fraction, AdelePoint]:
 # level-r boxes and their canonical residues
 
 
-@dataclass(frozen=True)
-class BoxIndex:
-    """A level-r box named by its corner in alpha^(-r) Z[1/b]."""
+def _peel(a: int, b: int, u: int, r: int) -> tuple[int, ...]:
+    """Residues (e_1, ..., e_r) of the level-r class u mod a^r.
 
-    level: int
-    corner: Fraction
-
-    def touches(self, other: "BoxIndex", ctx: AdeleContext) -> bool:
-        """Adjacency: same level and corners exactly one box width apart."""
-        if self.level != other.level:
-            return False
-        w = ctx.alpha_pow(-self.level)
-        return abs(self.corner - other.corner) == w
-
-
-def _residue_digits(ctx: AdeleContext, q: Fraction, r: int) -> tuple[tuple[int, ...], Fraction]:
-    """Canonical form of a level-r corner modulo the lattice.
-
-    Writes q = e_1 alpha^(-1) + ... + e_r alpha^(-r) + y with digits in
-    {0..a-1} and y in Z[1/b]; the decomposition is unique because the a^r
-    digit sums form a complete residue system mod Z[1/b].
+    u = sum_k e_k a^(r-k) b^(k-r) mod a^r, so e_r = u mod a and
+    b * floor(u / a) is the class of e_1 .. e_(r-1) one level down.  Each
+    step reads only u mod a, so the reductions mod a^j can be skipped.
     """
-    a, b = ctx.base.a, ctx.base.b
-    t = q * ctx.alpha_pow(r)
-    den = t.denominator
-    rem = den
-    for p, _ in ctx.primes:
-        while rem % p == 0:
-            rem //= p
-    if rem != 1:
-        raise ValueError(f"{q} is not a level-{r} corner for base {ctx.base}")
-    mod = a**r
-    x = (t.numerator * pow(den, -1, mod)) % mod
-    x = (x * pow(b, r, mod)) % mod  # now x = sum e_k b^k a^(r-k) mod a^r
     digs = []
-    for j in range(r, 0, -1):
-        aj = a**j
-        e = (x * pow(b, -j, a)) % a
+    for _ in range(r):
+        u, e = divmod(u, a)
         digs.append(e)
-        x = (x - e * pow(b, j, aj)) % aj
-        x //= a
+        u *= b
     digs.reverse()
-    e_vec = tuple(digs)
-    y = q - corner_of_residues(ctx, e_vec)
-    return e_vec, y
+    return tuple(digs)
+
+
+def _corner_numerator(a: int, b: int, residues: Sequence[int]) -> int:
+    """X = sum_k e_k b^k a^(r-k), so that sum_k e_k alpha^(-k) = X / a^r."""
+    num, bk = 0, 1
+    for e in residues:
+        bk *= b
+        num = num * a + e * bk
+    return num
 
 
 def corner_of_residues(ctx: AdeleContext, residues: Sequence[int]) -> Fraction:
     """The canonical corner sum_k e_k alpha^(-k)."""
-    a, b = ctx.base.a, ctx.base.b
-    # Horner from the deepest digit: value = (e_1 + (e_2 + ...)/alpha)/alpha
-    acc = Fraction(0)
-    for e in reversed(tuple(residues)):
-        acc = (acc + e) * b / a
-    return acc
+    residues = tuple(residues)
+    return Fraction(_corner_numerator(ctx.base.a, ctx.base.b, residues),
+                    ctx.base.a ** len(residues))
 
 
 @dataclass(frozen=True)
@@ -264,58 +244,55 @@ def locate_box(ctx: AdeleContext, z, r: int) -> BoxLocation:
     The corner c satisfies z_oo - c in [0, alpha^(-r)) and
     v_p(z_p - c) >= r v_p(b) for each p; points on a shared face belong to
     the box on their right.
+
+    With z scaled by alpha^r, the sum of the p-adic fractional parts is
+    t / q for a b-power q; the scaled corner is y / q with
+    y = t + q floor(alpha^r z_oo - t / q), and the corner is y b^r / (q a^r).
     """
     z = _as_point(ctx, z)
-    ar = ctx.alpha_pow(r)
-    scaled = AdelePoint(real=z.real * ar, padic={p: z.padic[p] * ar for p, _ in ctx.primes})
-    w, _ = reduce_mod_lattice(ctx, scaled)
-    corner = w / ar
-    residues, translate = _residue_digits(ctx, corner, r)
-    return BoxLocation(level=r, corner=corner, residues=residues, translate=translate)
+    a, b = ctx.base.a, ctx.base.b
+    ar, br = a**r, b**r
+    t, q = 0, 1
+    for p, e in ctx.primes:
+        x = z.padic[p]
+        den, pe = x.denominator, p ** (e * r)
+        pm = pe
+        while den % p == 0:
+            den //= p
+            pm *= p
+        tp = x.numerator * ar * pow(den * (br // pe), -1, pm) % pm
+        t, q = t * pm + tp * q, q * pm
+    x = z.real
+    yd = x.denominator * br
+    y = t + (x.numerator * ar * q - t * yd) // (yd * q) * q
+    residues = _peel(a, b, y * pow(q, -1, ar) % ar, r)
+    c = _corner_numerator(a, b, residues)
+    return BoxLocation(level=r, corner=Fraction(y * br, q * ar), residues=residues,
+                       translate=Fraction((y * br - c * q) // ar, q))
 
 
 # ---------------------------------------------------------------------------
 # tile approximations
 
 
-@dataclass(frozen=True)
-class TileApprox:
-    """Level-r approximation of the tile for one digit: a^(r-1) boxes."""
-
-    digit: int
-    level: int
-    corners: tuple[Fraction, ...]
-
-    @property
-    def measure_denominator_exponent(self) -> int:
-        return self.level
-
-    def measure(self, ctx: AdeleContext) -> Fraction:
-        return Fraction(len(self.corners), ctx.base.a**self.level)
-
-    def boxes(self) -> tuple[BoxIndex, ...]:
-        return tuple(BoxIndex(self.level, c) for c in self.corners)
-
-
 def tile_corners(ctx: AdeleContext, d: int, r: int) -> tuple[Fraction, ...]:
-    """Corners d alpha^(-1) + sum_{k=2..r} e_k alpha^(-k), sorted by value."""
-    a = ctx.base.a
+    """Corners d alpha^(-1) + sum_{k=2..r} e_k alpha^(-k), sorted by value.
+
+    Enumerated as their numerators over a^r.
+    """
+    a, b = ctx.base.a, ctx.base.b
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
     if r < 1:
         raise ValueError("level must be >= 1")
     _check_budget(a ** (r - 1))
-    first = d * ctx.alpha_pow(-1)
-    corners = [first]
+    nums = [d * b * a ** (r - 1)]
     for k in range(2, r + 1):
-        step = ctx.alpha_pow(-k)
-        corners = [c + e * step for c in corners for e in range(a)]
-    corners.sort()
-    return tuple(corners)
-
-
-def tile_approx(ctx: AdeleContext, d: int, r: int) -> TileApprox:
-    return TileApprox(digit=d, level=r, corners=tile_corners(ctx, d, r))
+        step = b**k * a ** (r - k)
+        nums = [c + e * step for c in nums for e in range(a)]
+    nums.sort()
+    ar = a**r
+    return tuple(Fraction(n, ar) for n in nums)
 
 
 def verify_residue_system(ctx: AdeleContext, r: int) -> bool:
@@ -390,21 +367,25 @@ class BoundaryTube:
     resolution: int
     members: frozenset[Fraction]
 
-    def boxes(self) -> tuple[BoxIndex, ...]:
-        return tuple(BoxIndex(self.level, c) for c in sorted(self.members))
-
     def __contains__(self, corner: Fraction) -> bool:
         return corner in self.members
 
 
-def _tail_width(base: Base) -> Fraction:
-    """Real extent of the closure of all digit tails: (a-1) b / (a-b)."""
-    return Fraction((base.a - 1) * base.b, base.a - base.b)
+def _tail_overhang(a: int, b: int, m: int) -> int:
+    """floor(W b^m) for the real extent W = (a-1) b / (a-b) of all digit tails."""
+    return (a - 1) * b ** (m + 1) // (a - b)
 
 
-def _box_certificates(ctx: AdeleContext, e_vec: tuple[int, ...], r: int,
-                      rho: int, W: Fraction, right_digit: int) -> set[int]:
-    """Digits d for which the box is certified safe at refinement level rho.
+def _first_residue(a: int, b: int, u: int, r: int) -> int:
+    """e_1 of the level-r class u, the last residue _peel would produce."""
+    for _ in range(r - 1):
+        u = u // a * b
+    return u % a
+
+
+def _box_certificates(a: int, b: int, c: int, r: int, rho: int) -> set[int]:
+    """Digits d for which the box with corner c / a^r is certified safe at
+    refinement level rho.
 
     Safe means: for every point z of the closed box, the smoothed level-r
     indicator of digit d agrees with the true digit test.  Two certificates:
@@ -416,26 +397,24 @@ def _box_certificates(ctx: AdeleContext, e_vec: tuple[int, ...], r: int,
     * fully out: neither the box nor its right neighbour carries d at level
       r, and no level-rho box of digit d meets the fattened range, so the
       closed box avoids digit class d entirely.
+
+    Both read the first residues of the rho-corners (c a^m + s b^r) / a^rho,
+    s_min <= s <= a^m, of class u_s = u_0 + s b^(-m) mod a^rho.  s = 0 is the
+    box's own corner and s = a^m its right neighbour's; a level-r corner
+    keeps its first residue at level rho.  So the box is fully in when every
+    rho-corner reads one digit, and fully out of every digit none reads.
     """
-    a, b = ctx.base.a, ctx.base.b
-    corner = corner_of_residues(ctx, e_vec)
-    d_self = e_vec[0]
     m = rho - r
-    u = Fraction(b**r, a**rho)  # spacing of rho-corners sharing the r-ball
-    s_min = -math.floor(W * b**m)
-    s_max = a**m
+    mod = a**rho
+    s_min = -_tail_overhang(a, b, m)
+    u = (c * a**m + s_min * b**r) * pow(b, -rho, mod) % mod
+    step = pow(b, -m, mod)
     present: set[int] = set()
-    for s in range(s_min, s_max + 1):
-        q = corner + s * u
-        present.add(_residue_digits(ctx, q, rho)[0][0])
-    safe: set[int] = set()
-    for d in range(a):
-        if d == d_self:
-            if right_digit == d and present <= {d}:
-                safe.add(d)
-        elif right_digit != d and d not in present:
-            safe.add(d)
-    return safe
+    for _ in range(s_min, a**m + 1):
+        present.add(_first_residue(a, b, u, rho))
+        u = (u + step) % mod
+    digits = set(range(a))
+    return digits if len(present) == 1 else digits - present
 
 
 def boundary_tubes(ctx: AdeleContext, r: int, resolution: int) -> dict[int, BoundaryTube]:
@@ -449,28 +428,18 @@ def boundary_tubes(ctx: AdeleContext, r: int, resolution: int) -> dict[int, Boun
     a, b = ctx.base.a, ctx.base.b
     if resolution <= r:
         raise ValueError("resolution must exceed the tube level")
-    W = _tail_width(ctx.base)
-    per_rho = sum(a ** (rho - r) + int(W * b ** (rho - r)) + 2
+    per_rho = sum(a ** (rho - r) + _tail_overhang(a, b, rho - r) + 2
                   for rho in range(r + 1, resolution + 1))
     _check_budget(a**r * max(per_rho, 1))
-    width = ctx.alpha_pow(-r)
     members: dict[int, set[Fraction]] = {d: set() for d in range(a)}
-    stack = [()]
-    boxes: list[tuple[int, ...]] = []
-    for _ in range(r):
-        boxes = []
-        for prefix in stack:
-            for e in range(a):
-                boxes.append(prefix + (e,))
-        stack = boxes
-    for e_vec in stack:
-        corner = corner_of_residues(ctx, e_vec)
-        right_digit = _residue_digits(ctx, corner + width, r)[0][0]
+    for e_vec in itertools.product(range(a), repeat=r):
+        c = _corner_numerator(a, b, e_vec)
         certified: set[int] = set()
         for rho in range(r + 1, resolution + 1):
-            certified |= _box_certificates(ctx, e_vec, r, rho, W, right_digit)
+            certified |= _box_certificates(a, b, c, r, rho)
             if len(certified) == a:
                 break
+        corner = Fraction(c, a**r)
         for d in range(a):
             if d not in certified:
                 members[d].add(corner)
@@ -504,55 +473,39 @@ def count_boundary_hits(ctx: AdeleContext, k: int, r: int, N: int,
 _SCHEMES = ("alpha-digits", "p-adic-digits")
 
 
-def _crt_digit(ctx: AdeleContext, u: Fraction) -> int:
-    """The residue of a p-integral rational modulo b, via CRT over p | b."""
-    residue, modulus = 0, 1
-    for p, e in ctx.primes:
-        pe = p**e
-        rp = (u.numerator * pow(u.denominator, -1, pe)) % pe
-        inc = ((rp - residue) * pow(modulus, -1, pe)) % pe
-        residue += modulus * inc
-        modulus *= pe
-    return residue
-
-
-def _fiber_digits(ctx: AdeleContext, x: Fraction, depth: int,
-                  scheme: str) -> tuple[int, list[int]]:
-    """Start index k and digits d_k..d_depth of the fiber expansion of x.
+def _fiber_numerator(ctx: AdeleContext, x: Fraction, depth: int,
+                     scheme: str) -> tuple[int, int]:
+    """(N, n) with the fiber value of x, truncated at `depth`, equal to N / b^n.
 
     alpha-digits: x = sum_j d_j alpha^(-j) with d_j in {0..b-1}, the greedy
     expansion along the chain of index-b subgroups alpha^(-j) prod Z_p.
     p-adic-digits: base-b digits of x in prod Z_p via residues mod b^j.
-    k < 0 occurs only when x has a pole at some p | b.
+    The expansion starts at j = -K, K > 0 only when x has a pole at some
+    p | b.  With the unit-scaled u = U / V (V prime to b) each digit is
+    d = U V^(-1) mod b, and u - d moves on times a / b (resp. 1 / b), so V
+    stays fixed.  The value sum_j d_j b^(-j) (b^(-j-1) for p-adic-digits)
+    is a Horner sum in b over the digits.
     """
     a, b = ctx.base.a, ctx.base.b
-    if x == 0:
-        return 0, [0] * (depth + 1)
-    k = 0
+    alpha = scheme == "alpha-digits"
+    U, V, K = x.numerator, x.denominator, 0
     for p, e in ctx.primes:
-        v = _vp(p, x)
-        k = min(k, v // e if v < 0 else 0)
-    if scheme == "alpha-digits":
-        u = x * ctx.alpha_pow(k)
-    else:
-        u = x * Fraction(1, b) ** k
-    digits = []
-    for _ in range(k, depth + 1):
-        d = _crt_digit(ctx, u)
-        digits.append(d)
-        if scheme == "alpha-digits":
-            u = (u - d) * a / b
-        else:
-            u = (u - d) / b
-    return k, digits
-
-
-def _fiber_value(ctx: AdeleContext, x: Fraction, depth: int, scheme: str) -> Fraction:
-    k, digits = _fiber_digits(ctx, x, depth, scheme)
-    b = Fraction(ctx.base.b)  # Fraction powers: k < 0 needs positive exponents
-    if scheme == "alpha-digits":
-        return sum(d * b ** (-j) for j, d in enumerate(digits, start=k))
-    return sum(d * b ** (-j - 1) for j, d in enumerate(digits, start=k))
+        v = 0
+        while V % p == 0:
+            V //= p
+            v += 1
+        K = max(K, -(-v // e))
+    U = U * b**K // (x.denominator // V)
+    if alpha:
+        V *= a**K
+    mul = a if alpha else 1
+    vinv = pow(V, -1, b)
+    num = 0
+    for _ in range(depth + K + 1):
+        d = U * vinv % b
+        num = num * b + d
+        U = (U - d * V) // b * mul
+    return num, depth if alpha else depth + 1
 
 
 def fiber_coordinate(ctx: AdeleContext, x, depth: int = 32,
@@ -570,7 +523,8 @@ def fiber_coordinate(ctx: AdeleContext, x, depth: int = 32,
     for p, _ in ctx.primes:
         if x != 0 and _vp(p, x) < 0:
             raise NotIntegral(f"{x} is not integral at p = {p}")
-    return _fiber_value(ctx, x, depth, scheme)
+    num, n = _fiber_numerator(ctx, x, depth, scheme)
+    return Fraction(num, ctx.base.b**n)
 
 
 def fiber_interval(ctx: AdeleContext, c: Fraction, r: int,
@@ -582,11 +536,9 @@ def fiber_interval(ctx: AdeleContext, c: Fraction, r: int,
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    c = Fraction(c)
-    b = ctx.base.b
-    lo = _fiber_value(ctx, c, r - 1, scheme)
-    width = Fraction(1, b ** (r - 1)) if scheme == "alpha-digits" else Fraction(1, b**r)
-    return lo, lo + width
+    num, n = _fiber_numerator(ctx, Fraction(c), r - 1, scheme)
+    den = ctx.base.b**n
+    return Fraction(num, den), Fraction(num + 1, den)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from .adelic import (AdeleContext, ScaleExceeded, boundary_tubes, char_tilde,
                      corner_of_residues, cover_census, frac_p, in_z_alpha,
                      locate_box, membership_point, reduce_mod_lattice,
                      verify_residue_system, _vp)
-from .fourier import (coeff_f, coeff_f_sum, coefficient_table,
-                      eval_urysohn_direct, eval_urysohn_series)
+from .fourier import (coeff_f, coefficient_table, eval_urysohn_direct,
+                      eval_urysohn_series)
 from .numeration import (Base, DigitWord, NotInLanguage, decode, digit, encode,
                          format_digits, parse_digits)
 from .patterns import (Pattern, asymptotic_report, champernowne_digits,

@@ -25,8 +25,8 @@ length, not N.
 The stream z_1 z_2 z_3 ... concatenates the words of 1, 2, 3, ... in print
 order.  gamma_w(x) counts positions n <= x with (z_{n+|w|-1}, ..., z_n) = w,
 the window convention under which the stream's digit statistics mirror the
-per-word counts.  Stream counts materialize the prefix, charging x digits to
-the budget.
+per-word counts.  One vectorized builder makes every stream prefix; the
+stream paths charge the digits asked for (x for the counts) to the budget.
 """
 
 from __future__ import annotations
@@ -226,23 +226,28 @@ def champernowne_stream(base: Base) -> Iterator[int]:
 
 def champernowne_digits(base: Base, m: int) -> list[int]:
     """First m digits of the stream."""
-    _check_budget(m)
-    out = []
-    stream = champernowne_stream(base)
-    for _ in range(m):
-        out.append(next(stream))
-    return out
+    return champernowne_prefix_array(base, m).tolist()
 
 
 def champernowne_prefix_array(base: Base, m: int) -> np.ndarray:
-    """First m stream digits as an int8 array (vectorized construction)."""
+    """First m stream digits as an int8 array (int64 when a > 128)."""
+    _check_budget(m)
+    return _prefix_array(base, m)
+
+
+def _prefix_array(base: Base, m: int) -> np.ndarray:
+    """champernowne_prefix_array without the budget charge, built in blocks."""
     a, b = base.a, base.b
-    out = np.empty(m, dtype=np.int8)
+    dtype = np.int8 if a <= 128 else np.int64
+    out = np.empty(m, dtype=dtype)
     filled = 0
     n0 = 1
     while filled < m:
-        # every n >= n0 has at least length(n0) digits
-        block = min(1 << 17, -(-(m - filled) // length(base, n0)))
+        # every n >= n0 has at least length(n0) digits; sizing the block by
+        # the longest word of that first guess keeps the overshoot small
+        rem = m - filled
+        guess = min(1 << 17, -(-rem // length(base, n0)))
+        block = min(guess, -(-rem // length(base, n0 + guess - 1)))
         ns = np.arange(n0, n0 + block, dtype=np.int64)
         n0 += block
         levels: list[np.ndarray] = []
@@ -254,11 +259,11 @@ def champernowne_prefix_array(base: Base, m: int) -> np.ndarray:
                 break
             lens += live
             bn = b * cur
-            levels.append((bn % a).astype(np.int8))
+            levels.append((bn % a).astype(dtype))
             cur = bn // a
         total = int(lens.sum())
         starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        buf = np.empty(total, dtype=np.int8)
+        buf = np.empty(total, dtype=dtype)
         for j, dig in enumerate(levels):
             sel = lens > j
             buf[starts[sel] + (lens[sel] - 1 - j)] = dig[sel]
@@ -270,8 +275,6 @@ def champernowne_prefix_array(base: Base, m: int) -> np.ndarray:
 
 def champernowne_freq(base: Base, pattern: Pattern, x: int) -> int:
     """gamma_w(x): window matches (z_{n+|w|-1}, ..., z_n) = w for n <= x."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
     return champernowne_freq_bulk(base, [pattern], [x])[pattern.word][0]
 
 
@@ -279,15 +282,18 @@ def champernowne_freq_bulk(base: Base, patterns: Sequence[Pattern],
                            checkpoints: Sequence[int]) -> dict[tuple[int, ...], list[int]]:
     """gamma_w at several x for several w from one materialized prefix.
 
-    Each list holds the counts in ascending order of the checkpoints.
+    Each list holds the counts in the order the checkpoints are given.  The
+    budget is charged max(checkpoints) once, for the whole prefix.
     """
-    xs = sorted(checkpoints)
-    if xs and xs[0] < 0:
+    if not patterns:
+        raise ValueError("patterns must be nonempty")
+    xs = list(checkpoints)
+    if any(x < 0 for x in xs):
         raise ValueError("checkpoints must be nonnegative")
-    n_count = xs[-1] if xs else 0
+    n_count = max(xs, default=0)
     _check_budget(n_count)
     m_max = max(len(p) for p in patterns)
-    arr = champernowne_prefix_array(base, n_count + m_max - 1)
+    arr = _prefix_array(base, n_count + m_max - 1)
     out: dict[tuple[int, ...], list[int]] = {}
     for p in patterns:
         mask = np.ones(n_count, dtype=bool)

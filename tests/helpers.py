@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's fast paths: plain
 per-integer digit scans instead of the vectorized kernel, brute-force
 residue searches instead of modular inverses, literal Fraction sums
-instead of integer Horner evaluation, and numerical quadrature instead of
-closed forms.  Agreement between these and the library is the point of
-the tests, so nothing below imports anything fancier than locate_box.
+instead of integer Horner evaluation, Fraction box geometry instead of
+integer numerators over a^r, and numerical quadrature instead of closed
+forms.  Agreement between these and the library is the point of the tests,
+so nothing below imports anything fancier than reduce_mod_lattice.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from ratbase import AdeleContext, Base, digit, length, locate_box
+from ratbase import (AdeleContext, AdelePoint, Base, BoundaryTube, BoxLocation,
+                     digit, length, reduce_mod_lattice)
 
 BASES = [Base(3, 2), Base(5, 2), Base(5, 3), Base(7, 4), Base(10, 1)]
 
@@ -212,3 +214,139 @@ def interior_disjoint(rects) -> bool:
 
 def random_rational(rng, num_range: int, denominators) -> Fraction:
     return Fraction(rng.randint(-num_range, num_range), rng.choice(denominators))
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference geometry: the library's box, tile, tube and fiber
+# routines as they were before they moved to integers over a^r.
+
+
+def _point(ctx: AdeleContext, z) -> AdelePoint:
+    return z if isinstance(z, AdelePoint) else AdelePoint.diagonal(ctx, z)
+
+
+def corner_ref(ctx: AdeleContext, residues) -> Fraction:
+    """sum_k e_k alpha^(-k) by Fraction Horner."""
+    a, b = ctx.base.a, ctx.base.b
+    acc = Fraction(0)
+    for e in reversed(tuple(residues)):
+        acc = (acc + e) * b / a
+    return acc
+
+
+def residue_digits_ref(ctx: AdeleContext, q: Fraction, r: int):
+    """(e_1..e_r, y) with q = sum_k e_k alpha^(-k) + y and y in Z[1/b]."""
+    a, b = ctx.base.a, ctx.base.b
+    t = q * Fraction(a, b) ** r
+    den = t.denominator
+    rem = den
+    for p, _ in ctx.primes:
+        while rem % p == 0:
+            rem //= p
+    if rem != 1:
+        raise ValueError(f"{q} is not a level-{r} corner for base {ctx.base}")
+    mod = a**r
+    x = (t.numerator * pow(den, -1, mod)) % mod
+    x = (x * pow(b, r, mod)) % mod  # now x = sum e_k b^k a^(r-k) mod a^r
+    digs = []
+    for j in range(r, 0, -1):
+        aj = a**j
+        e = (x * pow(b, -j, a)) % a
+        digs.append(e)
+        x = (x - e * pow(b, j, aj)) % aj
+        x //= a
+    digs.reverse()
+    e_vec = tuple(digs)
+    return e_vec, q - corner_ref(ctx, e_vec)
+
+
+def locate_box_ref(ctx: AdeleContext, z, r: int) -> BoxLocation:
+    """Scale by alpha^r, reduce mod the lattice, scale back, peel residues."""
+    z = _point(ctx, z)
+    ar = Fraction(ctx.base.a, ctx.base.b) ** r
+    scaled = AdelePoint(real=z.real * ar, padic={p: z.padic[p] * ar for p, _ in ctx.primes})
+    w, _ = reduce_mod_lattice(ctx, scaled)
+    corner = w / ar
+    residues, translate = residue_digits_ref(ctx, corner, r)
+    return BoxLocation(level=r, corner=corner, residues=residues, translate=translate)
+
+
+def tile_corners_ref(ctx: AdeleContext, d: int, r: int) -> tuple[Fraction, ...]:
+    """Tile corners by Fraction sums, sorted."""
+    step = Fraction(ctx.base.b, ctx.base.a)
+    corners = [d * step]
+    for k in range(2, r + 1):
+        corners = [c + e * step**k for c in corners for e in range(ctx.base.a)]
+    return tuple(sorted(corners))
+
+
+def _crt_digit_ref(ctx: AdeleContext, u: Fraction) -> int:
+    """The residue of a p-integral rational modulo b, via CRT over p | b."""
+    residue, modulus = 0, 1
+    for p, e in ctx.primes:
+        pe = p**e
+        rp = (u.numerator * pow(u.denominator, -1, pe)) % pe
+        inc = ((rp - residue) * pow(modulus, -1, pe)) % pe
+        residue += modulus * inc
+        modulus *= pe
+    return residue
+
+
+def fiber_value_ref(ctx: AdeleContext, x, depth: int, scheme: str) -> Fraction:
+    """Fiber coordinate of x truncated at `depth`, by Fraction digit peeling."""
+    a, b = ctx.base.a, ctx.base.b
+    x = Fraction(x)
+    if x == 0:
+        k, digits = 0, [0] * (depth + 1)
+    else:
+        k = 0
+        for p, e in ctx.primes:
+            v = vp(p, x)
+            k = min(k, v // e if v < 0 else 0)
+        u = x * (Fraction(a, b) ** k if scheme == "alpha-digits" else Fraction(1, b) ** k)
+        digits = []
+        for _ in range(k, depth + 1):
+            d = _crt_digit_ref(ctx, u)
+            digits.append(d)
+            u = (u - d) * a / b if scheme == "alpha-digits" else (u - d) / b
+    bf = Fraction(b)
+    shift = 0 if scheme == "alpha-digits" else 1
+    return sum((d * bf ** (-j - shift) for j, d in enumerate(digits, start=k)), Fraction(0))
+
+
+def fiber_interval_ref(ctx: AdeleContext, c, r: int,
+                       scheme: str = "alpha-digits") -> tuple[Fraction, Fraction]:
+    lo = fiber_value_ref(ctx, c, r - 1, scheme)
+    b = ctx.base.b
+    width = Fraction(1, b ** (r - 1)) if scheme == "alpha-digits" else Fraction(1, b**r)
+    return lo, lo + width
+
+
+def boundary_tubes_ref(ctx: AdeleContext, r: int, resolution: int) -> dict[int, BoundaryTube]:
+    """Boundary tubes with every digit read through residue_digits_ref."""
+    a, b = ctx.base.a, ctx.base.b
+    W = Fraction((a - 1) * b, a - b)
+    width = Fraction(b, a) ** r
+    members: dict[int, set[Fraction]] = {d: set() for d in range(a)}
+    for e_vec in itertools.product(range(a), repeat=r):
+        corner = corner_ref(ctx, e_vec)
+        right_digit = residue_digits_ref(ctx, corner + width, r)[0][0]
+        certified: set[int] = set()
+        for rho in range(r + 1, resolution + 1):
+            m = rho - r
+            u = Fraction(b**r, a**rho)
+            present = {residue_digits_ref(ctx, corner + s * u, rho)[0][0]
+                       for s in range(-math.floor(W * b**m), a**m + 1)}
+            for d in range(a):
+                if d == e_vec[0]:
+                    if right_digit == d and present <= {d}:
+                        certified.add(d)
+                elif right_digit != d and d not in present:
+                    certified.add(d)
+            if len(certified) == a:
+                break
+        for d in range(a):
+            if d not in certified:
+                members[d].add(corner)
+    return {d: BoundaryTube(digit=d, level=r, resolution=resolution,
+                            members=frozenset(members[d])) for d in range(a)}

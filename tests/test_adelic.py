@@ -30,15 +30,19 @@ from ratbase import (
     locate_box,
     membership_point,
     reduce_mod_lattice,
-    tile_approx,
     tile_corners,
     verify_residue_system,
 )
 from helpers import (
+    BASES,
+    boundary_tubes_ref,
     corner_set,
     denominator_in_b,
+    fiber_interval_ref,
     frac_p_bruteforce,
+    locate_box_ref,
     random_rational,
+    tile_corners_ref,
     vp,
 )
 
@@ -190,8 +194,7 @@ class TestTiles:
     def test_measure(self, ctx32):
         for d in range(3):
             for r in (1, 2, 4):
-                approx = tile_approx(ctx32, d, r)
-                assert approx.measure(ctx32) == Fraction(1, 3)
+                assert Fraction(len(tile_corners(ctx32, d, r)), 3**r) == Fraction(1, 3)
 
     def test_corner_of_residues_inverts_peeling(self, ctx32):
         for d in range(3):
@@ -424,3 +427,71 @@ class TestFibers:
 
     def test_zero_maps_to_zero(self, ctx32):
         assert fiber_coordinate(ctx32, 0) == 0
+
+
+ORACLE_BASES = BASES + [Base(7, 6)]
+
+
+def _oracle_points(ctx, rng, count):
+    """Negative points, poles at p | b, denominators prime to b, and
+    non-diagonal adeles."""
+    a, b = ctx.base.a, ctx.base.b
+    dens = [1, 7, 11 * 13, a, a**5, a**9, b, b**4, a**3 * b**2, 5 * b**3]
+    for i in range(count):
+        z = Fraction(rng.randint(-10**6, 10**6), rng.choice(dens))
+        if i % 4 == 3 and ctx.primes:
+            z = AdelePoint(real=z, padic={
+                p: Fraction(rng.randint(-10**4, 10**4), rng.choice([1, 7, p, p**3, 5 * p**2]))
+                for p, _ in ctx.primes})
+        yield z
+
+
+@pytest.mark.parametrize("base", ORACLE_BASES, ids=str)
+class TestIntegerGeometryOracles:
+    """The integer geometry against the Fraction references in helpers, by repr."""
+
+    def test_locate_box(self, base):
+        ctx = AdeleContext(base)
+        rng = random.Random(f"locate {base}")
+        for i, z in enumerate(_oracle_points(ctx, rng, 600)):
+            r = i % 9
+            assert repr(locate_box(ctx, z, r)) == repr(locate_box_ref(ctx, z, r))
+
+    def test_locate_box_on_faces(self, base):
+        # level-r corners shifted by the lattice lie on a shared face
+        ctx = AdeleContext(base)
+        a, b = base.a, base.b
+        rng = random.Random(f"faces {base}")
+        for i in range(200):
+            r = 1 + i % 8
+            e_vec = [rng.randrange(a) for _ in range(r)]
+            z = corner_of_residues(ctx, e_vec) + Fraction(rng.randint(-50, 50),
+                                                          b ** rng.randint(0, 3))
+            assert cover_census(ctx, z, r) == (2, True)
+            loc = locate_box(ctx, z, r)
+            assert loc.corner == z and list(loc.residues) == e_vec
+            assert repr(loc) == repr(locate_box_ref(ctx, z, r))
+
+    def test_fiber_interval(self, base):
+        ctx = AdeleContext(base)
+        rng = random.Random(f"fiber {base}")
+        for i, z in enumerate(_oracle_points(ctx, rng, 400)):
+            x = z.real if isinstance(z, AdelePoint) else z
+            r = 1 + i % 8
+            for scheme in ("alpha-digits", "p-adic-digits"):
+                assert repr(fiber_interval(ctx, x, r, scheme)) == repr(
+                    fiber_interval_ref(ctx, x, r, scheme))
+
+    def test_tile_corners(self, base):
+        ctx = AdeleContext(base)
+        for d in range(base.a):
+            for r in range(1, 5 if base.a < 7 else 4):
+                assert repr(tile_corners(ctx, d, r)) == repr(tile_corners_ref(ctx, d, r))
+
+    def test_boundary_tubes(self, base):
+        ctx = AdeleContext(base)
+        for r, resolution in ((1, 2), (1, 4), (2, 3), (3, 4), (4, 6)):
+            if base.a ** resolution * base.b ** (resolution - r) > 5000:
+                continue  # the Fraction reference is slow there
+            assert repr(boundary_tubes(ctx, r, resolution)) == repr(
+                boundary_tubes_ref(ctx, r, resolution))

@@ -275,6 +275,41 @@ class TestChampernowneStream:
         want = [int(c) for c in text[:m]]
         assert champernowne_prefix_array(b10, m).tolist() == want
 
+    def test_bulk_keeps_the_checkpoint_order(self, b32):
+        pats = [Pattern(b32, (2,)), Pattern(b32, (1, 0))]
+        xs = [10, 5, 300, 5, 0]
+        out = champernowne_freq_bulk(b32, pats, xs)
+        for p in pats:
+            assert out[p.word] == [stream_scan(b32, p.word, x) for x in xs]
+        assert champernowne_freq_bulk(b32, pats[:1], [10, 5])[(2,)] == [6, 3]
+
+    def test_bulk_rejects_bad_arguments(self, b32):
+        with pytest.raises(ValueError, match="patterns"):
+            champernowne_freq_bulk(b32, [], [10])
+        with pytest.raises(ValueError):
+            champernowne_freq_bulk(b32, [Pattern(b32, (2,))], [10, -1])
+        with pytest.raises(ValueError):
+            champernowne_prefix_array(b32, -1)
+
+    @pytest.mark.parametrize("base", [Base(3, 2), Base(7, 6), Base(10, 1)], ids=str)
+    def test_prefix_array_lengths(self, base):
+        # the block sizes follow the word lengths; every cut must land right
+        want = stream_prefix(base, 20000)
+        for m in (0, 1, 2, 57, 1999, 20000):
+            assert champernowne_prefix_array(base, m).tolist() == want[:m]
+
+    def test_wide_alphabet_stream(self):
+        base = Base(131, 2)
+        want = stream_prefix(base, 400)
+        assert max(want) > 127
+        assert champernowne_digits(base, 400) == want
+
+    def test_prefix_array_budget(self, b32, monkeypatch):
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
+        assert champernowne_prefix_array(b32, 1000).tolist() == stream_prefix(b32, 1000)
+        with pytest.raises(ScaleExceeded):
+            champernowne_prefix_array(b32, 2000)
+
     def test_budget(self, b32, monkeypatch):
         monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
         pat = Pattern(b32, (2, 1))
