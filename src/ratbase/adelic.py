@@ -30,7 +30,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .numeration import Base
 
@@ -254,6 +254,7 @@ def locate_box(ctx: AdeleContext, z, r: int) -> BoxLocation:
     ar, br = a**r, b**r
     t, q = 0, 1
     for p, e in ctx.primes:
+        # lambda_p(alpha^r z_p) = tp / pm, pm the p-part of its denominator
         x = z.padic[p]
         den, pe = x.denominator, p ** (e * r)
         pm = pe
@@ -519,6 +520,8 @@ def fiber_coordinate(ctx: AdeleContext, x, depth: int = 32,
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     x = Fraction(x)
     for p, _ in ctx.primes:
         if x != 0 and _vp(p, x) < 0:

@@ -391,6 +391,8 @@ class TestFibers:
             fiber_coordinate(ctx32, Fraction(1), scheme="decimal")
         with pytest.raises(ValueError):
             fiber_interval(ctx32, Fraction(1), 2, scheme="decimal")
+        with pytest.raises(ValueError):
+            fiber_coordinate(ctx32, Fraction(1), depth=-1)
 
     def test_interval_widths(self, ctx32):
         for r in (1, 2, 3):
