@@ -9,9 +9,9 @@ from .adelic import (AdeleContext, AdelePoint, BoundaryAmbiguous, BoundaryTube,
                      in_z_alpha, locate_box, membership_point,
                      reduce_mod_lattice, tile_corners, verify_residue_system)
 from .fourier import (FourierCoefficient, SeriesEval, SeriesTruncation,
-                      coeff_f, coeff_f_sum, coeff_g, coefficient_table,
-                      eval_urysohn_direct, eval_urysohn_series,
-                      series_tail_bound, urysohn_pattern_estimate)
+                      coeff_f, coeff_g, coefficient_table, eval_urysohn_direct,
+                      eval_urysohn_series, series_tail_bound,
+                      urysohn_pattern_estimate)
 from .numeration import (Base, DigitWord, NotInLanguage, decode, digit,
                          encode, format_digits, length, parse_digits,
                          sum_of_digits, word_value)

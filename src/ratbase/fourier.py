@@ -12,8 +12,12 @@ tile approximation gives the coefficients c'_{d,r,xi} of f_{d,r}; the prefix
 sum factorizes into per-level geometric sums, which is how the exact zeros
 on (a Z)/b^r are detected.
 
-All frequency bookkeeping is exact: character exponents are Fractions, and a
-coefficient is only ever evaluated to floating point at the end.
+All frequency bookkeeping is exact and runs on integers.  On the support
+xi = m / b^r every character exponent coeff_f needs is m times a fixed
+rational mod 1, kept as an integer residue over a power of a (gcd(a, b) = 1
+makes b invertible there); the series reads the character of a point as a
+residue P mod Q.  Fraction is the type of exact results, and a coefficient
+is only ever evaluated to floating point at the end.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .adelic import (AdeleContext, ScaleExceeded, _check_budget, char_exponent,
+from .adelic import (AdeleContext, _check_budget, char_exponent,
                      membership_point, tile_corners)
 
 
@@ -60,10 +64,6 @@ class FourierCoefficient:
         return abs(self.value)
 
 
-def _on_support(ctx: AdeleContext, xi: Fraction, r: int) -> bool:
-    return (xi * ctx.base.b**r).denominator == 1
-
-
 def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
     """Coefficient of the single-box smoothing at corner x.
 
@@ -75,7 +75,7 @@ def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
     if xi == 0:
         return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
                                   exact=Fraction(1, a**r))
-    if not _on_support(ctx, xi, r):
+    if (xi * b**r).denominator != 1:
         return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
                                   exact=Fraction(0))
     osc = ctx.alpha_pow(-r) * xi
@@ -95,47 +95,50 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
     sum over e in {0..a-1} of e(-e t_k) with t_k the character exponent of
     alpha^(-k) xi.  A factor vanishes exactly when e(-t_k) is a nontrivial
     a-th root of unity, which happens precisely on (a Z)/b^r away from 0.
+
+    On the support xi = m / b^r every exponent is m times a fixed rational
+    mod 1: osc = m / a^r, phase = (d m b^(1-r) mod a) / a and
+    t_k = (-m b^(k-r) mod a^k) / a^k, so a call costs O(r a) integer steps.
+    The coefficient is exactly zero iff r = 0 or a | m: then either osc is
+    an integer or, at the level k with a^(k-1) || m, e(-t_k) is a
+    nontrivial a-th root of unity.
     """
     xi = Fraction(xi)
     a, b = ctx.base.a, ctx.base.b
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
+    if r < 0:
+        raise ValueError("level must be >= 0")
     if xi == 0:
         return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
                                   exact=Fraction(1, a))
-    if not _on_support(ctx, xi, r):
+    m, off = divmod(xi.numerator * b**r, xi.denominator)
+    if off:
         return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
                                   exact=Fraction(0))
-    osc = ctx.alpha_pow(-r) * xi
-    if osc.denominator == 1:
+    ar = a**r
+    osc = Fraction(m, ar)
+    if r == 0 or m % a == 0:
         return FourierCoefficient(xi, Fraction(0), osc, Fraction(0),
                                   exact=Fraction(0))
+    w = -m * pow(b, -r, ar) % ar  # t_k = (w b^k mod a^k) / a^k
     factor = complex(1.0)
-    for k in range(2, r + 1):
-        t_k = char_exponent(ctx, ctx.alpha_pow(-k) * xi)
-        t_k -= math.floor(t_k)
-        if t_k == 0:
-            factor *= a
-            continue
-        if (a * t_k).denominator == 1:
-            # nontrivial a-th root of unity: the geometric sum is exactly 0
-            return FourierCoefficient(xi, Fraction(0), osc, Fraction(0),
-                                      exact=Fraction(0))
-        s = sum(cmath.exp(-2j * math.pi * float((e * t_k) % 1)) for e in range(a))
-        factor *= s
-    scale = Fraction(a**r, b ** (2 * r)) / (4 * xi * xi)
-    phase = char_exponent(ctx, -Fraction(d * b, a) * xi)
-    return FourierCoefficient(xi, scale, osc, phase, factor_sum=factor)
-
-
-def coeff_f_sum(ctx: AdeleContext, d: int, r: int, xi) -> complex:
-    """Direct summation of coeff_g over the tile corners (small-r route)."""
-    return sum(coeff_g(ctx, x, r, xi).value for x in tile_corners(ctx, d, r))
+    ak, bk = a, b
+    for _ in range(2, r + 1):
+        ak, bk = ak * a, bk * b
+        c = w * bk % ak
+        factor *= sum(cmath.exp(-2j * math.pi * ((e * c % ak) / ak)) for e in range(a))
+    phase = Fraction(-d * w * b % a, a)
+    return FourierCoefficient(xi, Fraction(ar, 4 * m * m), osc, phase, factor_sum=factor)
 
 
 def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
                       max_m: int) -> str:
-    """CSV of c'_{d,r,m/b^r} for m = 0..max_m, one row per (digit, m)."""
+    """CSV of c'_{d,r,m/b^r} for m = 0..max_m, one row per (digit, m).
+
+    Charged len(digits) * (max_m + 1) coefficients against the budget.
+    """
+    _check_budget(len(digits) * (max_m + 1))
     lines = ["xi_numerator,r,digit,re,im,abs"]
     br = ctx.base.b**r
     for d in digits:
@@ -149,15 +152,19 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
 # direct geometric evaluation
 
 
+def _split_b(ctx: AdeleContext, n: int) -> tuple[int, int]:
+    """(B, n / B) for B the largest divisor of n made of primes of b."""
+    n_b = 1
+    for p, _ in ctx.primes:
+        while n % p == 0:
+            n //= p
+            n_b *= p
+    return n_b, n
+
+
 def _padic_match(ctx: AdeleContext, delta: Fraction, r: int) -> Fraction:
     """Some y0 in Z[1/b] with v_p(y0 - delta) >= r v_p(b) for every p | b."""
-    den = delta.denominator
-    den_b = 1
-    for p, e in ctx.primes:
-        while den % p == 0:
-            den //= p
-            den_b *= p
-    den_coprime = den  # b-free part of the denominator
+    den_b, den_coprime = _split_b(ctx, delta.denominator)
     modulus = ctx.base.b**r * den_b
     if modulus == 1:
         return Fraction(0)
@@ -208,7 +215,6 @@ class SeriesTruncation:
 @dataclass(frozen=True)
 class SeriesEval:
     value: float
-    imag: float
     truncation: SeriesTruncation
 
 
@@ -223,10 +229,17 @@ def series_tail_bound(ctx: AdeleContext, r: int, cutoff: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def _series_coeffs(ctx: AdeleContext, d: int, r: int, cutoff: int) -> tuple[complex, ...]:
+def _series_coeffs(ctx: AdeleContext, d: int, r: int,
+                   cutoff: int) -> tuple[tuple[int, complex], ...]:
+    """The nonzero c'_{d,r,m/b^r} for m = 1..cutoff as (m, value) pairs.
+
+    Charged cutoff coefficients against the budget on a cache miss.
+    """
+    _check_budget(cutoff)
     br = ctx.base.b**r
-    return tuple(coeff_f(ctx, d, r, Fraction(m, br)).value
-                 for m in range(1, cutoff + 1))
+    pairs = ((m, coeff_f(ctx, d, r, Fraction(m, br)).value)
+             for m in range(1, cutoff + 1))
+    return tuple((m, c) for m, c in pairs if c != 0)
 
 
 def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
@@ -235,26 +248,25 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
 
     Terms pair m with -m, whose contributions are complex conjugates, so the
     partial sum is real by construction; the truncation error is bounded by
-    series_tail_bound.
+    series_tail_bound.  The character of z / b^r is e(theta) with
+    theta = P / Q: Q is the part of z's denominator times b^r prime to b,
+    B the rest, and P = -num B^(-1) mod Q.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
     z = Fraction(z)
     a, b = ctx.base.a, ctx.base.b
-    coeffs = _series_coeffs(ctx, d, r, cutoff)
-    theta = char_exponent(ctx, z * Fraction(1, b**r))
-    theta -= math.floor(theta)
-    P, Q = theta.numerator, theta.denominator
+    pairs = _series_coeffs(ctx, d, r, cutoff)
+    den_b, Q = _split_b(ctx, z.denominator * b**r)
+    P = -z.numerator * pow(den_b, -1, Q) % Q
     total = 1.0 / a
-    for m, c in enumerate(coeffs, start=1):
-        if c == 0:
-            continue
+    for m, c in pairs:
         ang = 2.0 * math.pi * ((m * P) % Q) / Q
         w = complex(math.cos(ang), math.sin(ang))
         total += 2.0 * (c * w).real
-    trunc = SeriesTruncation(cutoff=cutoff, terms=2 * len(coeffs) + 1,
+    trunc = SeriesTruncation(cutoff=cutoff, terms=2 * cutoff + 1,
                              tail_bound=series_tail_bound(ctx, r, cutoff))
-    return SeriesEval(value=total, imag=0.0, truncation=trunc)
+    return SeriesEval(value=total, truncation=trunc)
 
 
 # ---------------------------------------------------------------------------

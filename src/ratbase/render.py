@@ -10,6 +10,7 @@ Interiors of rectangles from a single tiling are pairwise disjoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -76,21 +77,29 @@ def tiles_svg(rects: Sequence[TileRect], px_per_unit: int = 160,
     if not rects:
         return ('<svg xmlns="http://www.w3.org/2000/svg" width="1" height="1" '
                 'viewBox="0 0 1 1"></svg>\n')
-    x0 = min(R.real_lo for R in rects)
-    x1 = max(R.real_hi for R in rects)
-    y0 = min(R.fiber_lo for R in rects)
-    y1 = max(R.fiber_hi for R in rects)
-    sx = Fraction(px_per_unit)
-    sy = Fraction(fiber_px) / (y1 - y0) if y1 > y0 else Fraction(1)
-    width = float((x1 - x0) * sx) + 2 * pad
-    height = float((y1 - y0) * sy) + 2 * pad
+    # Coordinates go over one common denominator per axis, so each output
+    # float is a single int / int division, rounded as float(Fraction) is.
+    dx = math.lcm(*{v.denominator for R in rects for v in (R.real_lo, R.real_hi)})
+    dy = math.lcm(*{v.denominator for R in rects for v in (R.fiber_lo, R.fiber_hi)})
+
+    def over(v: Fraction, den: int) -> int:
+        return v.numerator * (den // v.denominator)
+
+    x0 = min(over(R.real_lo, dx) for R in rects)
+    x1 = max(over(R.real_hi, dx) for R in rects)
+    y0 = min(over(R.fiber_lo, dy) for R in rects)
+    y1 = max(over(R.fiber_hi, dy) for R in rects)
+    # on a flat fiber range every y offset is 0, so any scale will do
+    span = (y1 - y0) or 1
+    width = (x1 - x0) * px_per_unit / dx + 2 * pad
+    height = (y1 - y0) * fiber_px / span + 2 * pad
 
     def fx(v: Fraction) -> str:
-        return format(float((v - x0) * sx) + pad, ".3f")
+        return format((over(v, dx) - x0) * px_per_unit / dx + pad, ".3f")
 
     def fy(v: Fraction) -> str:
         # flip: larger fiber values sit higher on the canvas
-        return format(float((y1 - v) * sy) + pad, ".3f")
+        return format((y1 - over(v, dy)) * fiber_px / span + pad, ".3f")
 
     digits = sorted({R.digit for R in rects})
     style = "".join(
@@ -101,8 +110,8 @@ def tiles_svg(rects: Sequence[TileRect], px_per_unit: int = 160,
         f"<style>{style}</style>",
     ]
     for R in rects:
-        w = format(float((R.real_hi - R.real_lo) * sx), ".3f")
-        h = format(float((R.fiber_hi - R.fiber_lo) * sy), ".3f")
+        w = format((over(R.real_hi, dx) - over(R.real_lo, dx)) * px_per_unit / dx, ".3f")
+        h = format((over(R.fiber_hi, dy) - over(R.fiber_lo, dy)) * fiber_px / span, ".3f")
         out.append(f'<rect class="d{R.digit}" x="{fx(R.real_lo)}" '
                    f'y="{fy(R.fiber_hi)}" width="{w}" height="{h}"/>')
     out.append("</svg>")

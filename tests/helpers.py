@@ -4,9 +4,12 @@ Everything here deliberately avoids the library's fast paths: plain
 per-integer digit scans instead of the vectorized kernel, brute-force
 residue searches instead of modular inverses, literal Fraction sums
 instead of integer Horner evaluation, Fraction box geometry instead of
-integer numerators over a^r, and numerical quadrature instead of closed
-forms.  Agreement between these and the library is the point of the tests,
-so nothing below imports anything fancier than reduce_mod_lattice.
+integer numerators over a^r, Fraction character exponents instead of
+residues of m = xi b^r, Fraction SVG coordinates instead of integers over
+a common denominator, and numerical quadrature instead of closed forms.
+Agreement between these and the library is the point of the tests, so
+nothing below imports anything fancier than reduce_mod_lattice,
+char_exponent, coeff_g and tile_corners.
 """
 from __future__ import annotations
 
@@ -16,9 +19,11 @@ import math
 from fractions import Fraction
 
 from ratbase import (AdeleContext, AdelePoint, Base, BoundaryTube, BoxLocation,
-                     digit, length, reduce_mod_lattice)
+                     FourierCoefficient, char_exponent, coeff_g, digit, length,
+                     reduce_mod_lattice, tile_corners)
 
 BASES = [Base(3, 2), Base(5, 2), Base(5, 3), Base(7, 4), Base(10, 1)]
+ORACLE_BASES = BASES + [Base(7, 6)]  # the fast paths' oracle tests add b = 6
 
 
 def word_digits(base: Base, n: int) -> tuple[int, ...]:
@@ -350,3 +355,109 @@ def boundary_tubes_ref(ctx: AdeleContext, r: int, resolution: int) -> dict[int, 
                 members[d].add(corner)
     return {d: BoundaryTube(digit=d, level=r, resolution=resolution,
                             members=frozenset(members[d])) for d in range(a)}
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference Fourier coefficients: coeff_f as it was before it moved
+# to integer residues of m = xi b^r, and the direct corner sum.
+
+
+def coeff_f_ref(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
+    """coeff_f with Fraction powers of alpha and char_exponent per level."""
+    xi = Fraction(xi)
+    a, b = ctx.base.a, ctx.base.b
+    if not 0 <= d < a:
+        raise ValueError(f"digit {d} outside alphabet")
+    if xi == 0:
+        return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
+                                  exact=Fraction(1, a))
+    if (xi * b**r).denominator != 1:
+        return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
+                                  exact=Fraction(0))
+    osc = ctx.alpha_pow(-r) * xi
+    if osc.denominator == 1:
+        return FourierCoefficient(xi, Fraction(0), osc, Fraction(0),
+                                  exact=Fraction(0))
+    factor = complex(1.0)
+    for k in range(2, r + 1):
+        t_k = char_exponent(ctx, ctx.alpha_pow(-k) * xi)
+        t_k -= math.floor(t_k)
+        if t_k == 0:
+            factor *= a
+            continue
+        if (a * t_k).denominator == 1:
+            # nontrivial a-th root of unity: the geometric sum is exactly 0
+            return FourierCoefficient(xi, Fraction(0), osc, Fraction(0),
+                                      exact=Fraction(0))
+        s = sum(cmath.exp(-2j * math.pi * float((e * t_k) % 1)) for e in range(a))
+        factor *= s
+    scale = Fraction(a**r, b ** (2 * r)) / (4 * xi * xi)
+    phase = char_exponent(ctx, -Fraction(d * b, a) * xi)
+    return FourierCoefficient(xi, scale, osc, phase, factor_sum=factor)
+
+
+def coeff_f_sum(ctx: AdeleContext, d: int, r: int, xi) -> complex:
+    """Direct summation of coeff_g over the tile corners (small-r route)."""
+    return sum(coeff_g(ctx, x, r, xi).value for x in tile_corners(ctx, d, r))
+
+
+def urysohn_series_ref(ctx: AdeleContext, d: int, r: int, z, cutoff: int) -> float:
+    """The symmetric partial character sum with the phase from char_exponent
+    and every coefficient from coeff_f_ref."""
+    a, b = ctx.base.a, ctx.base.b
+    theta = char_exponent(ctx, Fraction(z) / b**r)
+    theta -= math.floor(theta)
+    P, Q = theta.numerator, theta.denominator
+    total = 1.0 / a
+    for m in range(1, cutoff + 1):
+        c = coeff_f_ref(ctx, d, r, Fraction(m, b**r)).value
+        if c == 0:
+            continue
+        ang = 2.0 * math.pi * ((m * P) % Q) / Q
+        total += 2.0 * (c * complex(math.cos(ang), math.sin(ang))).real
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference SVG: tiles_svg as it was before its coordinates moved to
+# integers over a common denominator.
+
+
+def tiles_svg_ref(rects, px_per_unit: int = 160, fiber_px: int = 360,
+                  pad: int = 12) -> str:
+    """tiles_svg with every coordinate scaled and shifted as a Fraction."""
+    from ratbase.render import _PALETTE
+
+    if not rects:
+        return ('<svg xmlns="http://www.w3.org/2000/svg" width="1" height="1" '
+                'viewBox="0 0 1 1"></svg>\n')
+    x0 = min(R.real_lo for R in rects)
+    x1 = max(R.real_hi for R in rects)
+    y0 = min(R.fiber_lo for R in rects)
+    y1 = max(R.fiber_hi for R in rects)
+    sx = Fraction(px_per_unit)
+    sy = Fraction(fiber_px) / (y1 - y0) if y1 > y0 else Fraction(1)
+    width = float((x1 - x0) * sx) + 2 * pad
+    height = float((y1 - y0) * sy) + 2 * pad
+
+    def fx(v: Fraction) -> str:
+        return format(float((v - x0) * sx) + pad, ".3f")
+
+    def fy(v: Fraction) -> str:
+        return format(float((y1 - v) * sy) + pad, ".3f")
+
+    digits = sorted({R.digit for R in rects})
+    style = "".join(
+        f".d{d}{{fill:{_PALETTE[d % len(_PALETTE)]};stroke:none}}" for d in digits)
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.3f}" '
+        f'height="{height:.3f}" viewBox="0 0 {width:.3f} {height:.3f}">',
+        f"<style>{style}</style>",
+    ]
+    for R in rects:
+        w = format(float((R.real_hi - R.real_lo) * sx), ".3f")
+        h = format(float((R.fiber_hi - R.fiber_lo) * sy), ".3f")
+        out.append(f'<rect class="d{R.digit}" x="{fx(R.real_lo)}" '
+                   f'y="{fy(R.fiber_hi)}" width="{w}" height="{h}"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -34,7 +34,7 @@ from ratbase import (
     verify_residue_system,
 )
 from helpers import (
-    BASES,
+    ORACLE_BASES,
     boundary_tubes_ref,
     corner_set,
     denominator_in_b,
@@ -429,9 +429,6 @@ class TestFibers:
 
     def test_zero_maps_to_zero(self, ctx32):
         assert fiber_coordinate(ctx32, 0) == 0
-
-
-ORACLE_BASES = BASES + [Base(7, 6)]
 
 
 def _oracle_points(ctx, rng, count):

@@ -119,6 +119,12 @@ class TestOtherCommands:
         assert lines[0] == "xi_numerator,r,digit,re,im,abs"
         assert len(lines) == 1 + 3 * 5
 
+    def test_fourier_budget_exit_code(self):
+        r = run_cli("fourier", *BASE32, "--r", "2", "--max-xi", "5000",
+                    env_extra={"RATBASE_MAX_ENUM": "1000"})
+        assert r.returncode == 3
+        assert r.stdout == ""
+
     def test_tiles_csv(self):
         r = run_cli("tiles", *BASE32, "--r", "2", "--format", "csv")
         assert r.returncode == 0

@@ -1,6 +1,7 @@
 """Fourier data: closed forms vs quadrature, exact vanishing, series sums."""
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from ratbase import (
     AdeleContext,
     Base,
+    ScaleExceeded,
     coeff_f,
-    coeff_f_sum,
     coeff_g,
     coefficient_table,
     eval_urysohn_direct,
@@ -17,7 +18,8 @@ from ratbase import (
     series_tail_bound,
     urysohn_pattern_estimate,
 )
-from helpers import coeff_g_quadrature, random_rational, urysohn_bruteforce
+from helpers import (ORACLE_BASES, coeff_f_ref, coeff_f_sum, coeff_g_quadrature,
+                     random_rational, urysohn_bruteforce, urysohn_series_ref)
 
 DENS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 27]
 
@@ -94,6 +96,11 @@ class TestTileCoefficient:
             coeff_f(ctx32, 3, 2, 0)
         with pytest.raises(ValueError):
             coeff_f(ctx32, -1, 2, 0)
+
+    def test_rejects_negative_level(self, ctx32):
+        for xi in (0, Fraction(1, 3)):
+            with pytest.raises(ValueError):
+                coeff_f(ctx32, 1, -1, xi)
 
     @pytest.mark.parametrize("ctxname", ["ctx32", "ctx53", "ctx76"])
     def test_factorized_matches_corner_sum(self, ctxname, request):
@@ -183,7 +190,7 @@ class TestSeriesEvaluation:
         assert sv.truncation.cutoff == 64
         assert sv.truncation.terms == 129
         assert sv.truncation.tail_bound == series_tail_bound(ctx32, 1, 64)
-        assert sv.imag == 0.0
+        assert isinstance(sv.value, float)
 
     def test_within_tail_bound_of_direct(self, ctx32):
         rng = random.Random(6)
@@ -225,3 +232,100 @@ class TestPatternEstimate:
     def test_rejects_bad_word(self, ctx32):
         with pytest.raises(ValueError):
             urysohn_pattern_estimate(ctx32, (3,), 0, 2, 10)
+
+
+class TestBudget:
+    def test_table_is_charged_before_work(self, ctx32, monkeypatch):
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
+        with pytest.raises(ScaleExceeded):
+            coefficient_table(ctx32, [0, 1, 2], 2, 5000)
+        # two digits times 500 frequencies is exactly the cap
+        assert coefficient_table(ctx32, [0, 1], 2, 499).count("\n") == 1 + 1000
+
+    def test_series_is_charged_its_cutoff(self, ctx32, monkeypatch):
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
+        with pytest.raises(ScaleExceeded):
+            eval_urysohn_series(ctx32, 1, 2, Fraction(1, 3), cutoff=20000)
+        sv = eval_urysohn_series(ctx32, 2, 3, Fraction(1, 3), cutoff=1000)
+        assert sv.truncation.terms == 2001
+
+
+def _oracle_frequencies(base, r, rng):
+    """xi = 0, xi = m / b^r for small, large, negative and a-divisible m,
+    and xi off (1/b^r) Z."""
+    a, b = base.a, base.b
+    br = b**r
+    ms = list(range(-2 * a, 2 * a + 1)) + [rng.randint(-10**9, 10**9) for _ in range(6)]
+    ms += [a**r, -(a ** (r + 1)) * 7, a ** max(r - 1, 0) * 5]
+    yield from (Fraction(m, br) for m in ms)
+    for den in (7 * br, 11 * 13, b ** (r + 1) if b > 1 else 9):
+        yield Fraction(rng.randint(-10**5, 10**5), den)
+
+
+@pytest.mark.parametrize("base", ORACLE_BASES, ids=str)
+class TestIntegerFourierOracles:
+    """Integer residues of m = xi b^r against the Fraction references."""
+
+    def test_coeff_f_is_bit_equal(self, base):
+        ctx = AdeleContext(base)
+        rng = random.Random(f"coeff {base}")
+        for r in range(7):
+            for d in range(base.a):
+                for xi in _oracle_frequencies(base, r, rng):
+                    got, want = coeff_f(ctx, d, r, xi), coeff_f_ref(ctx, d, r, xi)
+                    assert repr(got.value) == repr(want.value), (d, r, xi)
+                    assert got.exact == want.exact, (d, r, xi)
+
+    def test_exact_zero_iff_a_divides_m(self, base):
+        ctx = AdeleContext(base)
+        a, b = base.a, base.b
+        for r in range(1, 6):
+            for m in range(-3 * a * a, 3 * a * a + 1):
+                if m == 0:
+                    continue
+                c = coeff_f(ctx, 1, r, Fraction(m, b**r))
+                assert (c.exact == 0) == (m % a == 0), (r, m)
+                assert (c.value == 0) == (m % a == 0), (r, m)
+        assert all(coeff_f(ctx, 1, 0, m).exact == 0 for m in range(1, 20))
+
+    def test_series_is_bit_equal(self, base):
+        ctx = AdeleContext(base)
+        a, b = base.a, base.b
+        rng = random.Random(f"series {base}")
+        dens = [1, 7, 11 * 13, a, a**3, b, b**4, 5 * b**3]
+        for i in range(24):
+            z = Fraction(rng.randint(-10**4, 10**4), rng.choice(dens))
+            r, d, cutoff = i % 4, rng.randrange(a), rng.choice([1, 9, 40])
+            got = eval_urysohn_series(ctx, d, r, z, cutoff)
+            assert repr(got.value) == repr(urysohn_series_ref(ctx, d, r, z, cutoff)), (z, r)
+            assert got.truncation.terms == 2 * cutoff + 1
+
+
+def _table_ref(ctx, digits, r, max_m):
+    lines = ["xi_numerator,r,digit,re,im,abs"]
+    for d in digits:
+        for m in range(max_m + 1):
+            v = coeff_f_ref(ctx, d, r, Fraction(m, ctx.base.b**r)).value
+            lines.append(f"{m},{r},{d},{v.real!r},{v.imag!r},{abs(v)!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestIntegerFourierTables:
+    @pytest.mark.parametrize("a, b, r", [(3, 2, 4), (5, 2, 3)])
+    def test_table_is_byte_identical(self, a, b, r):
+        ctx = AdeleContext(Base(a, b))
+        digits = list(range(a))
+        assert coefficient_table(ctx, digits, r, 300) == _table_ref(ctx, digits, r, 300)
+
+    def test_integer_base_level_eight_allocates_nothing_of_size_a_r(self):
+        # a^r = 10^8: a table over the residues mod a^r would need that many slots
+        ctx = AdeleContext(Base(10, 1))
+        xi = Fraction(123456789)
+        tracemalloc.start()
+        try:
+            value = coeff_f(ctx, 3, 8, xi).value
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert repr(value) == repr(coeff_f_ref(ctx, 3, 8, xi).value)

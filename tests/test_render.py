@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from ratbase import AdeleContext, Base, render_tiles, tiles_csv, tiles_svg
-from helpers import interior_disjoint
+from ratbase import AdeleContext, Base, TileRect, render_tiles, tiles_csv, tiles_svg
+from helpers import interior_disjoint, tiles_svg_ref
 
 GOLDEN = Path(__file__).parent / "golden" / "tiles_32_r8.svg"
 
@@ -74,3 +74,21 @@ class TestSvg:
         rects = render_tiles(ctx32, 8, [0])
         assert interior_disjoint(rects)
         assert tiles_svg(rects).encode() == GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("a, b, r, translates, scheme", [
+        (3, 2, 5, [0], "alpha-digits"),
+        (3, 2, 3, range(-2, 3), "p-adic-digits"),
+        (5, 3, 3, [0, Fraction(1, 3), Fraction(-7, 9)], "alpha-digits"),
+        (7, 4, 2, [Fraction(-3, 4)], "p-adic-digits"),
+        (10, 1, 3, [0, 5], "alpha-digits"),
+    ])
+    def test_matches_fraction_reference(self, a, b, r, translates, scheme):
+        rects = render_tiles(AdeleContext(Base(a, b)), r, translates, scheme)
+        assert tiles_svg(rects) == tiles_svg_ref(rects)
+        assert tiles_svg(rects[:1]) == tiles_svg_ref(rects[:1])
+        assert tiles_svg(rects, 37, 101, 3) == tiles_svg_ref(rects, 37, 101, 3)
+
+    def test_flat_fiber_span_matches_fraction_reference(self):
+        rects = [TileRect(Fraction(0), 0, Fraction(1, 3), Fraction(2, 3),
+                          Fraction(1, 2), Fraction(1, 2))]
+        assert tiles_svg(rects) == tiles_svg_ref(rects)
