@@ -72,10 +72,6 @@ class AdeleContext:
     def __post_init__(self) -> None:
         object.__setattr__(self, "primes", self.base.primes_of_b())
 
-    @property
-    def alpha(self) -> Fraction:
-        return self.base.alpha
-
     def alpha_pow(self, k: int) -> Fraction:
         return Fraction(self.base.a, self.base.b) ** k
 
@@ -159,13 +155,19 @@ def char_tilde(ctx: AdeleContext, xi) -> complex:
     return character(ctx, AdelePoint.diagonal(ctx, xi))
 
 
+def _split_b(ctx: AdeleContext, n: int) -> tuple[int, int]:
+    """(B, n / B) for B the largest divisor of n made of primes of b."""
+    n_b = 1
+    for p, _ in ctx.primes:
+        while n % p == 0:
+            n //= p
+            n_b *= p
+    return n_b, n
+
+
 def in_z_alpha(ctx: AdeleContext, xi) -> bool:
     """Membership in Z[alpha]: the reduced denominator involves only p | b."""
-    den = Fraction(xi).denominator
-    for p, _ in ctx.primes:
-        while den % p == 0:
-            den //= p
-    return den == 1
+    return _split_b(ctx, Fraction(xi).denominator)[1] == 1
 
 
 def reduce_mod_lattice(ctx: AdeleContext, z) -> tuple[Fraction, AdelePoint]:
@@ -451,15 +453,10 @@ def boundary_tubes(ctx: AdeleContext, r: int, resolution: int) -> dict[int, Boun
     }
 
 
-def boundary_tube(ctx: AdeleContext, d: int, r: int, resolution: int) -> BoundaryTube:
-    if not 0 <= d < ctx.base.a:
-        raise ValueError(f"digit {d} outside alphabet")
-    return boundary_tubes(ctx, r, resolution)[d]
-
-
 def count_boundary_hits(ctx: AdeleContext, k: int, r: int, N: int,
                         tube: BoundaryTube) -> int:
-    """How many of the reduced points for n <= N land in tube boxes."""
+    """How many of the reduced points for n <= N land in tube boxes; charged N."""
+    _check_budget(N)
     hits = 0
     for n in range(1, N + 1):
         loc = locate_box(ctx, membership_point(ctx, n, k), r)

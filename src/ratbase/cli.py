@@ -18,7 +18,7 @@ from fractions import Fraction
 from .adelic import (AdeleContext, ScaleExceeded, boundary_tubes, char_tilde,
                      corner_of_residues, cover_census, frac_p, in_z_alpha,
                      locate_box, membership_point, reduce_mod_lattice,
-                     verify_residue_system, _vp)
+                     verify_residue_system, _check_budget, _vp)
 from .fourier import (coeff_f, coefficient_table, eval_urysohn_direct,
                       eval_urysohn_series)
 from .numeration import (Base, DigitWord, NotInLanguage, decode, digit, encode,
@@ -179,6 +179,7 @@ def cmd_fourier(args) -> int:
 
 
 def _suite_tiling(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
+    _check_budget(args.N)
     a = ctx.base.a
     r = args.r
     out = []
@@ -213,8 +214,9 @@ def _suite_tiling(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_character(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
-    rng = random.Random(args.seed)
     n = args.N
+    _check_budget(3 * n)  # three checks of n samples each
+    rng = random.Random(args.seed)
     out = []
     bad = 0
     for _ in range(n):
@@ -318,6 +320,7 @@ def _suite_boundary(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
     escal = 0
     unresolved = 0
     n_pts = min(args.N, 2000)
+    _check_budget(n_pts)
     for _ in range(n_pts):
         n = rng.randrange(1, 10**5)
         k = rng.randrange(0, 5)

@@ -12,6 +12,10 @@ tile approximation gives the coefficients c'_{d,r,xi} of f_{d,r}; the prefix
 sum factorizes into per-level geometric sums, which is how the exact zeros
 on (a Z)/b^r are detected.
 
+In space f_{d,r} is read from two boxes: with x the corner of the level-r
+box holding z, h = alpha^(-r) and theta = (z - x) / h,
+f_{d,r}(Phi(z)) = (1 - theta) [digit(x) = d] + theta [digit(x + h) = d].
+
 All frequency bookkeeping is exact and runs on integers.  On the support
 xi = m / b^r every character exponent coeff_f needs is m times a fixed
 rational mod 1, kept as an integer residue over a power of a (gcd(a, b) = 1
@@ -24,13 +28,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .adelic import (AdeleContext, _check_budget, char_exponent,
-                     membership_point, tile_corners)
+from .adelic import (AdeleContext, _check_budget, _split_b, char_exponent,
+                     locate_box, max_enum, membership_point)
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,6 @@ class FourierCoefficient:
         unit = cmath.exp(2j * math.pi * float(u))
         return float(self.scale) * amp / math.pi**2 * unit * self.factor_sum
 
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
 
 def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
     """Coefficient of the single-box smoothing at corner x.
@@ -72,6 +72,8 @@ def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
     """
     x, xi = Fraction(x), Fraction(xi)
     a, b = ctx.base.a, ctx.base.b
+    if r < 0:
+        raise ValueError("level must be >= 0")
     if xi == 0:
         return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
                                   exact=Fraction(1, a**r))
@@ -152,51 +154,30 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
 # direct geometric evaluation
 
 
-def _split_b(ctx: AdeleContext, n: int) -> tuple[int, int]:
-    """(B, n / B) for B the largest divisor of n made of primes of b."""
-    n_b = 1
-    for p, _ in ctx.primes:
-        while n % p == 0:
-            n //= p
-            n_b *= p
-    return n_b, n
-
-
-def _padic_match(ctx: AdeleContext, delta: Fraction, r: int) -> Fraction:
-    """Some y0 in Z[1/b] with v_p(y0 - delta) >= r v_p(b) for every p | b."""
-    den_b, den_coprime = _split_b(ctx, delta.denominator)
-    modulus = ctx.base.b**r * den_b
-    if modulus == 1:
-        return Fraction(0)
-    w = (delta.numerator * pow(den_coprime, -1, modulus)) % modulus
-    return Fraction(w, den_b)
-
-
 def eval_urysohn_direct(ctx: AdeleContext, d: int, r: int, z) -> Fraction:
-    """f_{d,r}(Phi(z)) as an exact rational, by box-overlap geometry.
+    """f_{d,r}(Phi(z)) as an exact rational, from the box that holds z.
 
-    The shifted window Phi(z) + D_r meets a lattice translate of a tile box
-    only if the p-adic balls coincide, which pins the translate to a coset
-    y0 + b^r Z; within that coset at most one translate can overlap the real
-    window of width 2 alpha^(-r) <= 2 < b^r (two when b = 1, adjacent).
+    f_{d,r} is a sum of tents of half-width h = alpha^(-r), one on each
+    corner of a digit-d box, that count only where the p-adic balls agree.
+    The corners in z's ball are x + k h, with x the corner of the level-r
+    box holding z (locate_box), so only x and its right neighbour x + h
+    reach z.  With theta = (z - x) / h in [0, 1):
+
+        f_{d,r}(Phi(z)) = (1 - theta) [digit(x) = d] + theta [digit(x + h) = d]
     """
-    z = Fraction(z)
     a, b = ctx.base.a, ctx.base.b
-    _check_budget(a ** (r - 1))
-    h = ctx.alpha_pow(-r)
-    step = b**r
-    overlap_total = Fraction(0)
-    for x_c in tile_corners(ctx, d, r):
-        delta = z - x_c
-        y0 = _padic_match(ctx, delta, r)
-        t = (delta - y0) / step
-        k0 = math.floor(t)
-        for k in (k0, k0 + 1):
-            y = y0 + k * step
-            ov = h - abs(delta - y)
-            if ov > 0:
-                overlap_total += ov
-    return Fraction(a**r, b**r) * overlap_total
+    if not 0 <= d < a:
+        raise ValueError(f"digit {d} outside alphabet")
+    if r < 1:
+        raise ValueError("level must be >= 1")
+    z = Fraction(z)
+    loc = locate_box(ctx, z, r)
+    h = Fraction(b**r, a**r)
+    theta = (z - loc.corner) / h
+    value = 1 - theta if loc.digit == d else Fraction(0)
+    if theta and locate_box(ctx, loc.corner + h, r).digit == d:
+        value += theta
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +209,45 @@ def series_tail_bound(ctx: AdeleContext, r: int, cutoff: int) -> float:
     return 2.0 * a ** (2 * r - 1) / (math.pi**2 * cutoff)
 
 
-@lru_cache(maxsize=64)
-def _series_coeffs(ctx: AdeleContext, d: int, r: int,
-                   cutoff: int) -> tuple[tuple[int, complex], ...]:
-    """The nonzero c'_{d,r,m/b^r} for m = 1..cutoff as (m, value) pairs.
+_CacheInfo = namedtuple("_CacheInfo", "hits misses lists pairs")
 
-    Charged cutoff coefficients against the budget on a cache miss.
-    """
-    _check_budget(cutoff)
-    br = ctx.base.b**r
-    pairs = ((m, coeff_f(ctx, d, r, Fraction(m, br)).value)
-             for m in range(1, cutoff + 1))
-    return tuple((m, c) for m, c in pairs if c != 0)
+
+class _SeriesCache:
+    """Coefficient lists of recent series calls, oldest first: at most 64
+    lists, holding at most max_enum() pairs in all."""
+
+    def __init__(self) -> None:
+        self.lists: dict[tuple, tuple[tuple[int, complex], ...]] = {}
+        self.hits = self.misses = self.pairs = 0
+
+    def __call__(self, ctx: AdeleContext, d: int, r: int,
+                 cutoff: int) -> tuple[tuple[int, complex], ...]:
+        """The nonzero c'_{d,r,m/b^r} for m = 1..cutoff as (m, value) pairs.
+
+        Charged cutoff coefficients against the budget on a cache miss.
+        """
+        key = (ctx, d, r, cutoff)
+        got = self.lists.get(key)
+        if got is not None:
+            self.hits += 1
+            return got
+        _check_budget(cutoff)
+        self.misses += 1
+        br = ctx.base.b**r
+        values = ((m, coeff_f(ctx, d, r, Fraction(m, br)).value)
+                  for m in range(1, cutoff + 1))
+        got = self.lists[key] = tuple((m, c) for m, c in values if c != 0)
+        self.pairs += len(got)
+        cap = max_enum()
+        while len(self.lists) > 64 or self.pairs > cap:
+            self.pairs -= len(self.lists.pop(next(iter(self.lists))))
+        return got
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, len(self.lists), self.pairs)
+
+
+_series_coeffs = _SeriesCache()
 
 
 def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
@@ -288,7 +296,7 @@ def urysohn_pattern_estimate(ctx: AdeleContext, word: Sequence[int], k: int,
     for d in w_lsf:
         if not 0 <= d < a:
             raise ValueError(f"digit {d} outside alphabet")
-    _check_budget(max(N, 1) * len(w_lsf) * a ** (r - 1))
+    _check_budget(max(N, 1) * len(w_lsf))
     total = Fraction(0)
     for n in range(1, N + 1):
         prod = Fraction(1)

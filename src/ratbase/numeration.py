@@ -43,10 +43,6 @@ class Base:
     def alpha(self) -> Fraction:
         return Fraction(self.a, self.b)
 
-    @property
-    def digits(self) -> range:
-        return range(self.a)
-
     def primes_of_b(self) -> tuple[tuple[int, int], ...]:
         """Prime factorization of b as ((p, v_p(b)), ...); empty for b = 1."""
         out = []

@@ -35,12 +35,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .adelic import _check_budget
-from .numeration import Base, encode, format_digits, length, parse_digits
+from .numeration import Base, format_digits, length, parse_digits
 
 _BLOCK = 1 << 16
 _VECTOR_MIN = 32
@@ -214,14 +214,6 @@ def summatory_sod(base: Base, N: int) -> int:
     jobs = [(k, r) for k in range(length(base, N)) for r in residues]
     counts = _progression_counts(base, jobs, base.a, N)
     return sum(d * c for d, c in zip(itertools.cycle(digits), counts))
-
-
-def champernowne_stream(base: Base) -> Iterator[int]:
-    """Lazy digit stream z_1, z_2, ... concatenating encode(1), encode(2), ..."""
-    n = 1
-    while True:
-        yield from encode(base, n).digits
-        n += 1
 
 
 def champernowne_digits(base: Base, m: int) -> list[int]:

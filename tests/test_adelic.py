@@ -12,7 +12,6 @@ from ratbase import (
     BoundaryAmbiguous,
     NotIntegral,
     ScaleExceeded,
-    boundary_tube,
     boundary_tubes,
     char_exponent,
     char_tilde,
@@ -331,7 +330,7 @@ class TestBoundaryTubes:
     def test_members_shrink_with_resolution(self, ctx32):
         prev = None
         for resolution in (3, 4, 5, 6):
-            members = boundary_tube(ctx32, 2, 2, resolution).members
+            members = boundary_tubes(ctx32, 2, resolution)[2].members
             if prev is not None:
                 assert members <= prev
             prev = members
@@ -356,13 +355,20 @@ class TestBoundaryTubes:
         assert checked > 100
 
     def test_count_boundary_hits(self, ctx32):
-        tube = boundary_tube(ctx32, 2, 2, 5)
+        tube = boundary_tubes(ctx32, 2, 5)[2]
         manual = 0
         for n in range(1, 101):
             loc = locate_box(ctx32, membership_point(ctx32, n, 0), 2)
             if loc.canonical_corner in tube.members:
                 manual += 1
         assert count_boundary_hits(ctx32, 0, 2, 100, tube) == manual
+
+    def test_count_boundary_hits_is_charged_its_points(self, ctx32, monkeypatch):
+        tube = boundary_tubes(ctx32, 2, 5)[2]
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "10")
+        with pytest.raises(ScaleExceeded):
+            count_boundary_hits(ctx32, 0, 2, 5000, tube)
+        assert count_boundary_hits(ctx32, 0, 2, 10, tube) <= 10
 
 
 class TestFibers:

@@ -168,6 +168,13 @@ class TestVerifyCommand:
         assert r.returncode == 0
         assert "FAIL" not in r.stdout
 
+    def test_sample_budget_exit_code(self):
+        for suite in ("tiling", "character"):
+            r = run_cli("verify", *BASE32, "--suite", suite, "--r", "2", "--N", "20000",
+                        env_extra={"RATBASE_MAX_ENUM": "10"})
+            assert r.returncode == 3, suite
+            assert r.stdout == "", suite
+
 
 class TestExitCodes:
     def test_usage_error_on_bad_base(self):

@@ -13,11 +13,13 @@ from ratbase import (
     coeff_f,
     coeff_g,
     coefficient_table,
+    corner_of_residues,
     eval_urysohn_direct,
     eval_urysohn_series,
     series_tail_bound,
     urysohn_pattern_estimate,
 )
+from ratbase.fourier import _series_coeffs
 from helpers import (ORACLE_BASES, coeff_f_ref, coeff_f_sum, coeff_g_quadrature,
                      random_rational, urysohn_bruteforce, urysohn_series_ref)
 
@@ -101,6 +103,8 @@ class TestTileCoefficient:
         for xi in (0, Fraction(1, 3)):
             with pytest.raises(ValueError):
                 coeff_f(ctx32, 1, -1, xi)
+            with pytest.raises(ValueError):
+                coeff_g(ctx32, 0, -1, xi)
 
     @pytest.mark.parametrize("ctxname", ["ctx32", "ctx53", "ctx76"])
     def test_factorized_matches_corner_sum(self, ctxname, request):
@@ -179,6 +183,40 @@ class TestDirectEvaluation:
         assert eval_urysohn_direct(ctx32, 1, 1, Fraction(2, 3)) == 1
         assert eval_urysohn_direct(ctx32, 0, 1, Fraction(2, 3)) == 0
 
+    @pytest.mark.parametrize("base", ORACLE_BASES, ids=str)
+    def test_matches_bruteforce_to_level_four(self, base):
+        ctx = AdeleContext(base)
+        a, b = base.a, base.b
+        rng = random.Random(f"direct {base}")
+        for r in range(1, 5):
+            # negative numerators, poles at p | b, denominators prime to b
+            dens = [1, 7, 11 * 13, a**r, b, b ** (r + 2), 5 * b**3]
+            points = [Fraction(rng.randint(-10**4, 10**4), rng.choice(dens))
+                      for _ in range(4)]
+            # box corners (theta = 0), also moved by lattice translates
+            corner = corner_of_residues(ctx, [rng.randrange(a) for _ in range(r)])
+            points += [corner + t for t in (0, -2, Fraction(1, b))]
+            for z in points:
+                for d in range(a):
+                    assert eval_urysohn_direct(ctx, d, r, z) == \
+                        urysohn_bruteforce(ctx, d, r, z), (d, r, z)
+
+    def test_deep_level_under_a_small_cap(self, ctx32, monkeypatch):
+        # O(r) work: the 3^11 corners of a level-12 tile are never visited
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
+        rng = random.Random(12)
+        for _ in range(10):
+            z = random_rational(rng, 10**6, DENS + [7, 11])
+            assert sum(eval_urysohn_direct(ctx32, d, 12, z) for d in range(3)) == 1
+        residues = [rng.randrange(3) for _ in range(12)]
+        corner = corner_of_residues(ctx32, residues)
+        assert eval_urysohn_direct(ctx32, residues[0], 12, corner) == 1
+
+    def test_rejects_bad_level_and_digit(self, ctx32):
+        for d, r in ((1, 0), (1, -1), (3, 2), (-1, 2)):
+            with pytest.raises(ValueError):
+                eval_urysohn_direct(ctx32, d, r, Fraction(1, 3))
+
 
 class TestSeriesEvaluation:
     def test_rejects_empty_truncation(self, ctx32):
@@ -248,6 +286,23 @@ class TestBudget:
             eval_urysohn_series(ctx32, 1, 2, Fraction(1, 3), cutoff=20000)
         sv = eval_urysohn_series(ctx32, 2, 3, Fraction(1, 3), cutoff=1000)
         assert sv.truncation.terms == 2001
+
+    def test_series_cache_holds_at_most_the_cap(self, ctx32, monkeypatch):
+        # each list keeps the 60 of m = 1..90 that 3 does not divide
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "100")
+        for d in range(3):
+            eval_urysohn_series(ctx32, d, 2, Fraction(1, 3), cutoff=90)
+            assert _series_coeffs.cache_info().pairs == 60
+        misses = _series_coeffs.cache_info().misses
+        eval_urysohn_series(ctx32, 0, 2, Fraction(1, 3), cutoff=90)
+        assert _series_coeffs.cache_info().misses == misses + 1
+
+    def test_estimate_is_charged_its_point_values(self, ctx32, monkeypatch):
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
+        with pytest.raises(ScaleExceeded):
+            urysohn_pattern_estimate(ctx32, (2, 1), 0, 8, 501)
+        # 500 points times two window offsets is exactly the cap
+        assert urysohn_pattern_estimate(ctx32, (2, 1), 0, 8, 500) >= 0
 
 
 def _oracle_frequencies(base, r, rng):

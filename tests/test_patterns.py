@@ -16,7 +16,6 @@ from ratbase import (
     champernowne_freq,
     champernowne_freq_bulk,
     champernowne_prefix_array,
-    champernowne_stream,
     count_pattern,
     count_pattern_at,
     length,
@@ -241,8 +240,6 @@ class TestChampernowneStream:
         want = stream_prefix(b32, 500)
         assert champernowne_digits(b32, 500) == want
         assert champernowne_prefix_array(b32, 500).tolist() == want
-        gen = champernowne_stream(b32)
-        assert [next(gen) for _ in range(500)] == want
 
     def test_frozen_frequencies(self, b32):
         assert champernowne_freq(b32, Pattern(b32, (2,)), 10) == 6
