@@ -8,9 +8,10 @@ D_0 = [0,1] x prod Z_p of measure 1 (each Z_p has measure 1).
 
 Everything here is exact.  Fraction is only the input and output type: the
 p-adic fractional part lambda_p is computed with a modular inverse, and the
-box geometry runs on integers.  Every level-r corner is X / a^r for an
-integer X, and a corner's class mod Z[1/b] is the integer X b^(-r) mod a^r,
-from which the residues e_1..e_r peel off (see _peel).  Point location,
+box geometry runs on integers.  The level-r corner with residues e_1..e_r
+is X / a^r, X = b H(e_1..e_r) = sum_k e_k b^k a^(r-k) (H from numeration),
+and its class mod Z[1/b] is X b^(-r) mod a^r, from which the residues peel
+off again (see _peel).  Point location (lattice reduction is its level 0),
 tile corners, boundary tubes and fiber intervals work on such numerators
 over a^r and b-powers and build one Fraction per returned value.
 
@@ -25,14 +26,13 @@ level-r approximation of the self-affine tile attached to digit d.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .numeration import Base
+from .numeration import Base, _horner
 
 DEFAULT_MAX_ENUM = 10**7
 
@@ -67,7 +67,7 @@ class AdeleContext:
     """A base together with its finite places (p, v_p(b)) for p | b."""
 
     base: Base
-    primes: tuple[tuple[int, int], ...] = ()
+    primes: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "primes", self.base.primes_of_b())
@@ -173,12 +173,11 @@ def in_z_alpha(ctx: AdeleContext, xi) -> bool:
 def reduce_mod_lattice(ctx: AdeleContext, z) -> tuple[Fraction, AdelePoint]:
     """Translate z by y in Z[alpha] into D_0 = [0,1) x prod Z_p.
 
-    y = sum_p lambda_p(z_p) + floor(z_oo - sum_p lambda_p(z_p)); the residual
-    z - Phi(y) has real part in [0,1) and p-integral components.
+    y is the corner of the level-0 box holding z: the one y in Z[1/b] with
+    z_oo - y in [0,1) and z_p - y p-integral for each p | b.
     """
     z = _as_point(ctx, z)
-    lam = sum((frac_p(p, z.padic[p]) for p, _ in ctx.primes), Fraction(0))
-    y = lam + math.floor(z.real - lam)
+    y = locate_box(ctx, z, 0).corner
     res = AdelePoint(
         real=z.real - y,
         padic={p: z.padic[p] - y for p, _ in ctx.primes},
@@ -206,19 +205,25 @@ def _peel(a: int, b: int, u: int, r: int) -> tuple[int, ...]:
     return tuple(digs)
 
 
-def _corner_numerator(a: int, b: int, residues: Sequence[int]) -> int:
-    """X = sum_k e_k b^k a^(r-k), so that sum_k e_k alpha^(-k) = X / a^r."""
-    num, bk = 0, 1
-    for e in residues:
-        bk *= b
-        num = num * a + e * bk
-    return num
+def _corner_numerators(a: int, b: int, r: int, d: int) -> list[int]:
+    """Numerators X = sum_k e_k b^k a^(r-k) over a^r of the a^(r-1) level-r
+    corners with e_1 = d, built level by level.
+
+    At r = 0 the one corner 0 counts as e_1 = 0, as _first_residue reads it.
+    """
+    if r == 0:
+        return [0] if d == 0 else []
+    nums = [d * b * a ** (r - 1)]
+    for k in range(2, r + 1):
+        step = b**k * a ** (r - k)
+        nums = [c + s for c in nums for s in range(0, a * step, step)]
+    return nums
 
 
 def corner_of_residues(ctx: AdeleContext, residues: Sequence[int]) -> Fraction:
-    """The canonical corner sum_k e_k alpha^(-k)."""
+    """The canonical corner sum_k e_k alpha^(-k) = b H(e_1..e_r) / a^r."""
     residues = tuple(residues)
-    return Fraction(_corner_numerator(ctx.base.a, ctx.base.b, residues),
+    return Fraction(ctx.base.b * _horner(ctx.base.a, ctx.base.b, residues),
                     ctx.base.a ** len(residues))
 
 
@@ -269,7 +274,7 @@ def locate_box(ctx: AdeleContext, z, r: int) -> BoxLocation:
     yd = x.denominator * br
     y = t + (x.numerator * ar * q - t * yd) // (yd * q) * q
     residues = _peel(a, b, y * pow(q, -1, ar) % ar, r)
-    c = _corner_numerator(a, b, residues)
+    c = b * _horner(a, b, residues)
     return BoxLocation(level=r, corner=Fraction(y * br, q * ar), residues=residues,
                        translate=Fraction((y * br - c * q) // ar, q))
 
@@ -289,43 +294,27 @@ def tile_corners(ctx: AdeleContext, d: int, r: int) -> tuple[Fraction, ...]:
     if r < 1:
         raise ValueError("level must be >= 1")
     _check_budget(a ** (r - 1))
-    nums = [d * b * a ** (r - 1)]
-    for k in range(2, r + 1):
-        step = b**k * a ** (r - k)
-        nums = [c + e * step for c in nums for e in range(a)]
-    nums.sort()
     ar = a**r
-    return tuple(Fraction(n, ar) for n in nums)
+    return tuple(Fraction(n, ar) for n in sorted(_corner_numerators(a, b, r, d)))
 
 
 def verify_residue_system(ctx: AdeleContext, r: int) -> bool:
     """Check that the a^r canonical corners are pairwise non-congruent mod
     Z[alpha].
 
-    Congruence classes are compared through the exact normal form: a corner
-    sum e_k alpha^(-k) lies in the class of sum e_k b^k a^(r-k) mod a^r, and
-    two corners are congruent iff those integers agree (their difference is
-    in Z[1/b] iff a^r divides it).
+    Two corners X / a^r and X' / a^r are congruent iff a^r divides X - X'
+    (their difference is in Z[1/b]), so the a^r corners, marked one digit
+    at a time by X mod a^r, are pairwise non-congruent iff they mark every
+    class.
     """
     a, b = ctx.base.a, ctx.base.b
     _check_budget(a**r)
     mod = a**r
-    coeff = [pow(b, k, mod) * pow(a, r - k, mod) % mod for k in range(r + 1)]
     seen = bytearray(mod)
-    count = 0
-    stack = [(0, 0)]  # (depth, partial numerator mod a^r)
-    while stack:
-        depth, num = stack.pop()
-        if depth == r:
-            if seen[num]:
-                return False
-            seen[num] = 1
-            count += 1
-            continue
-        k = depth + 1
-        for e in range(a):
-            stack.append((k, (num + e * coeff[k]) % mod))
-    return count == mod
+    for d in range(a):
+        for c in _corner_numerators(a, b, r, d):
+            seen[c % mod] = 1
+    return 0 not in seen
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +424,17 @@ def boundary_tubes(ctx: AdeleContext, r: int, resolution: int) -> dict[int, Boun
                   for rho in range(r + 1, resolution + 1))
     _check_budget(a**r * max(per_rho, 1))
     members: dict[int, set[Fraction]] = {d: set() for d in range(a)}
-    for e_vec in itertools.product(range(a), repeat=r):
-        c = _corner_numerator(a, b, e_vec)
-        certified: set[int] = set()
-        for rho in range(r + 1, resolution + 1):
-            certified |= _box_certificates(a, b, c, r, rho)
-            if len(certified) == a:
-                break
-        corner = Fraction(c, a**r)
-        for d in range(a):
-            if d not in certified:
-                members[d].add(corner)
+    for first in range(a):
+        for c in _corner_numerators(a, b, r, first):
+            certified: set[int] = set()
+            for rho in range(r + 1, resolution + 1):
+                certified |= _box_certificates(a, b, c, r, rho)
+                if len(certified) == a:
+                    break
+            corner = Fraction(c, a**r)
+            for d in range(a):
+                if d not in certified:
+                    members[d].add(corner)
     return {
         d: BoundaryTube(digit=d, level=r, resolution=resolution,
                         members=frozenset(members[d]))

@@ -14,13 +14,14 @@ import random
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from typing import Iterable
 
 from .adelic import (AdeleContext, ScaleExceeded, boundary_tubes, char_tilde,
                      corner_of_residues, cover_census, frac_p, in_z_alpha,
                      locate_box, membership_point, reduce_mod_lattice,
                      verify_residue_system, _check_budget, _vp)
 from .fourier import (coeff_f, coefficient_table, eval_urysohn_direct,
-                      eval_urysohn_series)
+                      eval_urysohn_series, series_tail_bound)
 from .numeration import (Base, DigitWord, NotInLanguage, decode, digit, encode,
                          format_digits, parse_digits)
 from .patterns import (Pattern, asymptotic_report, champernowne_digits,
@@ -75,18 +76,20 @@ def _horizons(text: str) -> list[int]:
     return [_count(t) for t in toks]
 
 
-def _translates(text: str) -> list[Fraction]:
-    """Comma list of rationals, or an inclusive range lo..hi stepped by the
-    coarsest grid containing both endpoints (1/lcm of denominators)."""
+def _translates(text: str) -> tuple[int, Iterable[Fraction]]:
+    """(count, translates) for a comma list of rationals, or for an inclusive
+    range lo..hi stepped by the coarsest grid containing both endpoints
+    (1/lcm of denominators); a range is built only as it is read."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = _fraction(lo_s), _fraction(hi_s)
         if hi < lo:
             raise argparse.ArgumentTypeError("range upper bound below lower")
         step = Fraction(1, math.lcm(lo.denominator, hi.denominator))
-        n = int((hi - lo) / step)
-        return [lo + i * step for i in range(n + 1)]
-    return [_fraction(t) for t in text.split(",") if t.strip()]
+        n = int((hi - lo) / step) + 1
+        return n, (lo + i * step for i in range(n))
+    shifts = [_fraction(t) for t in text.split(",") if t.strip()]
+    return len(shifts), shifts
 
 
 def _write_out(args, text: str) -> None:
@@ -157,7 +160,10 @@ def cmd_stream(args) -> int:
 
 def cmd_tiles(args) -> int:
     ctx = AdeleContext(_base_of(args))
-    rects = render_tiles(ctx, args.r, args.translates, scheme=args.scheme)
+    count, translates = args.translates
+    # render_tiles charges the same amount, but only once it holds the list
+    _check_budget(max(count, 1) * ctx.base.a ** args.r)
+    rects = render_tiles(ctx, args.r, translates, scheme=args.scheme)
     text = tiles_csv(rects) if args.format == "csv" else tiles_svg(rects)
     _write_out(args, text)
     return EXIT_OK
@@ -167,9 +173,6 @@ def cmd_fourier(args) -> int:
     base = _base_of(args)
     ctx = AdeleContext(base)
     digits = [args.d] if args.d is not None else list(range(base.a))
-    for d in digits:
-        if not 0 <= d < base.a:
-            raise ValueError(f"digit {d} outside alphabet")
     _write_out(args, coefficient_table(ctx, digits, args.r, args.max_xi))
     return EXIT_OK
 
@@ -280,7 +283,6 @@ def _suite_fourier(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
     rng = random.Random(args.seed)
     cutoff = args.cutoff
     rf = min(args.r, 3)
-    from .fourier import series_tail_bound
     tb = series_tail_bound(ctx, rf, cutoff)
     worst = 0.0
     bad = 0
@@ -412,7 +414,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("tiles", help="render tile approximations")
     base_flags(sp)
     sp.add_argument("--r", type=_count, required=True, help="box level")
-    sp.add_argument("--translates", type=_translates, default=[Fraction(0)],
+    sp.add_argument("--translates", type=_translates, default=(1, [Fraction(0)]),
                     help="comma list or lo..hi range of lattice translates")
     sp.add_argument("--scheme", choices=("alpha-digits", "p-adic-digits"),
                     default="alpha-digits")

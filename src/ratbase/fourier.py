@@ -138,8 +138,11 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
                       max_m: int) -> str:
     """CSV of c'_{d,r,m/b^r} for m = 0..max_m, one row per (digit, m).
 
-    Charged len(digits) * (max_m + 1) coefficients against the budget.
+    Checks digits, then charges len(digits) * (max_m + 1) to the budget.
     """
+    for d in digits:
+        if not 0 <= d < ctx.base.a:
+            raise ValueError(f"digit {d} outside alphabet")
     _check_budget(len(digits) * (max_m + 1))
     lines = ["xi_numerator,r,digit,re,im,abs"]
     br = ctx.base.b**r
@@ -260,6 +263,8 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
     theta = P / Q: Q is the part of z's denominator times b^r prime to b,
     B the rest, and P = -num B^(-1) mod Q.
     """
+    if r < 0:
+        raise ValueError("level must be >= 0")
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
     z = Fraction(z)
@@ -290,11 +295,11 @@ def urysohn_pattern_estimate(ctx: AdeleContext, word: Sequence[int], k: int,
     The deviation from S'_{k,w}(N) is at most the total number of boundary
     tube hits along the window.
     """
-    digits_msf = tuple(word)
-    w_lsf = tuple(reversed(digits_msf))
-    a = ctx.base.a
+    w_lsf = tuple(reversed(tuple(word)))
+    if not w_lsf or r < 1 or k < 0:
+        raise ValueError("need a nonempty word, level >= 1 and k >= 0")
     for d in w_lsf:
-        if not 0 <= d < a:
+        if not 0 <= d < ctx.base.a:
             raise ValueError(f"digit {d} outside alphabet")
     _check_budget(max(N, 1) * len(w_lsf))
     total = Fraction(0)

@@ -18,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 
 class NotInLanguage(ValueError):
@@ -142,18 +143,21 @@ def encode(base: Base, n: int) -> DigitWord:
     return DigitWord(base, tuple(reversed(lsf)))
 
 
+def _horner(a: int, b: int, digits: Sequence[int]) -> int:
+    """H(d_0..d_(L-1)) = sum_i d_i b^i a^(L-1-i), by Horner in a: b^L times the
+    value of the word d_0..d_(L-1).  adelic reads box corners off it and
+    patterns the residue classes of digit windows."""
+    num, bi = 0, 1
+    for d in digits:
+        num = num * a + d * bi
+        bi *= b
+    return num
+
+
 def word_value(word: DigitWord) -> Fraction:
     """Exact rational value (1/b) * sum eps_k alpha^k of a word."""
-    if not word.digits:
-        return Fraction(0)
-    a, b = word.base.a, word.base.b
-    # Integer Horner on the numerator sum eps_k a^k b^(L-1-k), over b^L.
-    num = 0
-    pow_b = 1
-    for d in word.digits:
-        num = num * a + d * pow_b
-        pow_b *= b
-    return Fraction(num, b ** len(word.digits))
+    return Fraction(_horner(word.base.a, word.base.b, word.digits),
+                    word.base.b ** len(word.digits))
 
 
 def decode(word: DigitWord) -> int:

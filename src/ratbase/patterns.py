@@ -12,7 +12,8 @@ Israel J. Math. 168, 2008):
 
 - eps_k(n) = b T^k(n) mod a, and the m digits of n from position k up are the
   m lowest digits of q = T^k(n), which fix q mod a^m and are fixed by it;
-  so a window w is a single residue r_w mod a^m.
+  so a window w is a single residue r_w = H(w_(m-1)..w_0) b^(-m) mod a^m,
+  H the Horner numerator of numeration (b^m q = H + a^m T^m(q)).
 - T is nondecreasing, so {n : T^k(n) = q} is an interval
   [lo_k(q), lo_k(q + 1)) with lo(q) = ceil(a q / b).
 - lo_k(q + b^k) = lo_k(q) + a^k: interval sizes repeat with period b^k.
@@ -40,7 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .adelic import _check_budget
-from .numeration import Base, format_digits, length, parse_digits
+from .numeration import Base, _horner, format_digits, length, parse_digits
 
 _BLOCK = 1 << 16
 _VECTOR_MIN = 32
@@ -92,16 +93,11 @@ class PatternStats:
 def _residue(base: Base, w_lsf: Sequence[int]) -> int:
     """The residue r_w mod a^m of the q whose m lowest digits are w_0..w_{m-1}.
 
-    Lifts from the top digit down: q_j = (w_j + a q_{j+1}) / b, known mod
-    a^(m-j) once q_{j+1} is known mod a^(m-j-1).
+    b^m q = H(w_(m-1)..w_0) + a^m T^m(q), so r_w = H b^(-m) mod a^m.
     """
     a, b = base.a, base.b
-    m = len(w_lsf)
-    x = 0
-    for j in reversed(range(m)):
-        mod = a ** (m - j)
-        x = (w_lsf[j] + a * x) * pow(b, -1, mod) % mod
-    return x
+    mod = a ** len(w_lsf)
+    return _horner(a, b, w_lsf[::-1]) * pow(b, -len(w_lsf), mod) % mod
 
 
 def _lo(a: int, b: int, q, k: int):

@@ -4,12 +4,13 @@ Everything here deliberately avoids the library's fast paths: plain
 per-integer digit scans instead of the vectorized kernel, brute-force
 residue searches instead of modular inverses, literal Fraction sums
 instead of integer Horner evaluation, Fraction box geometry instead of
-integer numerators over a^r, Fraction character exponents instead of
+integer numerators over a^r, a Fraction lattice reduction instead of
+point location at level 0, Fraction character exponents instead of
 residues of m = xi b^r, Fraction SVG coordinates instead of integers over
 a common denominator, and numerical quadrature instead of closed forms.
 Agreement between these and the library is the point of the tests, so
-nothing below imports anything fancier than reduce_mod_lattice,
-char_exponent, coeff_g and tile_corners.
+nothing below imports anything fancier than frac_p, char_exponent,
+coeff_g and tile_corners.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ import math
 from fractions import Fraction
 
 from ratbase import (AdeleContext, AdelePoint, Base, BoundaryTube, BoxLocation,
-                     FourierCoefficient, char_exponent, coeff_g, digit, length,
-                     reduce_mod_lattice, tile_corners)
+                     FourierCoefficient, char_exponent, coeff_g, digit, frac_p,
+                     length, tile_corners)
 
 BASES = [Base(3, 2), Base(5, 2), Base(5, 3), Base(7, 4), Base(10, 1)]
 ORACLE_BASES = BASES + [Base(7, 6)]  # the fast paths' oracle tests add b = 6
@@ -65,6 +66,20 @@ def scan_count(base: Base, word_msf, k: int, N: int, padded: bool = False) -> in
         if all(digit(base, n, k + m - 1 - i) == w[i] for i in range(m)):
             hits += 1
     return hits
+
+
+def low_digit_classes(base: Base, m: int) -> dict[tuple[int, ...], int]:
+    """Each q in [0, a^m) keyed by its m lowest padded digits, least
+    significant first, read off the recurrence one integer at a time."""
+    a, b = base.a, base.b
+    out = {}
+    for q in range(a**m):
+        n, digs = q, []
+        for _ in range(m):
+            digs.append(b * n % a)
+            n = b * n // a
+        out[tuple(digs)] = q
+    return out
 
 
 def stream_scan(base: Base, word_msf, x: int) -> int:
@@ -265,12 +280,21 @@ def residue_digits_ref(ctx: AdeleContext, q: Fraction, r: int):
     return e_vec, q - corner_ref(ctx, e_vec)
 
 
+def reduce_mod_lattice_ref(ctx: AdeleContext, z) -> tuple[Fraction, AdelePoint]:
+    """y = sum_p lambda_p(z_p) + floor(z_oo - sum_p lambda_p(z_p)) as Fraction
+    sums, with the residual z - Phi(y)."""
+    z = _point(ctx, z)
+    lam = sum((frac_p(p, z.padic[p]) for p, _ in ctx.primes), Fraction(0))
+    y = lam + math.floor(z.real - lam)
+    return y, AdelePoint(real=z.real - y, padic={p: z.padic[p] - y for p, _ in ctx.primes})
+
+
 def locate_box_ref(ctx: AdeleContext, z, r: int) -> BoxLocation:
     """Scale by alpha^r, reduce mod the lattice, scale back, peel residues."""
     z = _point(ctx, z)
     ar = Fraction(ctx.base.a, ctx.base.b) ** r
     scaled = AdelePoint(real=z.real * ar, padic={p: z.padic[p] * ar for p, _ in ctx.primes})
-    w, _ = reduce_mod_lattice(ctx, scaled)
+    w, _ = reduce_mod_lattice_ref(ctx, scaled)
     corner = w / ar
     residues, translate = residue_digits_ref(ctx, corner, r)
     return BoxLocation(level=r, corner=corner, residues=residues, translate=translate)

@@ -41,6 +41,7 @@ from helpers import (
     frac_p_bruteforce,
     locate_box_ref,
     random_rational,
+    reduce_mod_lattice_ref,
     tile_corners_ref,
     vp,
 )
@@ -85,6 +86,17 @@ class TestFracP:
             y = random_rational(rng, 100, DENS)
             s = frac_p(2, x) + frac_p(2, y) - frac_p(2, x + y)
             assert s.denominator == 1
+
+
+class TestContext:
+    def test_primes_come_from_the_base(self):
+        assert AdeleContext(Base(3, 2)).primes == ((2, 1),)
+        assert AdeleContext(Base(7, 6)).primes == ((2, 1), (3, 1))
+        assert AdeleContext(Base(10, 1)).primes == ()
+
+    def test_rejects_given_primes(self):
+        with pytest.raises(TypeError):
+            AdeleContext(Base(3, 2), primes=((5, 1),))
 
 
 class TestCharacters:
@@ -207,7 +219,7 @@ class TestTiles:
 
     @pytest.mark.parametrize("base,rmax", [
         (Base(3, 2), 8), (Base(5, 2), 6), (Base(5, 3), 6), (Base(7, 4), 4),
-        (Base(10, 1), 4),
+        (Base(10, 1), 4), (Base(7, 6), 4),
     ], ids=lambda v: str(v))
     def test_residue_system(self, base, rmax):
         ctx = AdeleContext(base)
@@ -476,6 +488,17 @@ class TestIntegerGeometryOracles:
             loc = locate_box(ctx, z, r)
             assert loc.corner == z and list(loc.residues) == e_vec
             assert repr(loc) == repr(locate_box_ref(ctx, z, r))
+
+    def test_reduce_mod_lattice(self, base):
+        ctx = AdeleContext(base)
+        rng = random.Random(f"reduce {base}")
+        dens = [1, 7, 11 * 13, base.a, base.b, base.b**4, 5 * base.b**3]
+        for z in _oracle_points(ctx, rng, 300):
+            assert repr(reduce_mod_lattice(ctx, z)) == repr(reduce_mod_lattice_ref(ctx, z))
+            z = AdelePoint(real=random_rational(rng, 10**6, dens), padic={
+                p: random_rational(rng, 10**4, [1, 7, p, p**3, 5 * p**2, base.a])
+                for p, _ in ctx.primes})
+            assert repr(reduce_mod_lattice(ctx, z)) == repr(reduce_mod_lattice_ref(ctx, z))
 
     def test_fiber_interval(self, base):
         ctx = AdeleContext(base)

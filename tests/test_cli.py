@@ -125,6 +125,11 @@ class TestOtherCommands:
         assert r.returncode == 3
         assert r.stdout == ""
 
+    def test_fourier_rejects_bad_digit(self):
+        r = run_cli("fourier", *BASE32, "--r", "1", "--d", "3")
+        assert r.returncode == 64
+        assert r.stdout == ""
+
     def test_tiles_csv(self):
         r = run_cli("tiles", *BASE32, "--r", "2", "--format", "csv")
         assert r.returncode == 0
@@ -145,6 +150,12 @@ class TestOtherCommands:
         assert r.returncode == 0
         lines = r.stdout.strip().split("\n")
         assert len(lines) == 1 + 3 * 3  # translates 0, 1, 2
+
+    def test_tiles_translate_range_is_charged_before_it_is_built(self):
+        r = run_cli("tiles", *BASE32, "--r", "1", "--translates", "0..1e12",
+                    env_extra={"RATBASE_MAX_ENUM": "10"})
+        assert r.returncode == 3
+        assert r.stdout == ""
 
 
 class TestVerifyCommand:

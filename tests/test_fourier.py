@@ -223,6 +223,11 @@ class TestSeriesEvaluation:
         with pytest.raises(ValueError):
             eval_urysohn_series(ctx32, 1, 1, Fraction(1, 3), cutoff=0)
 
+    def test_rejects_negative_level(self, ctx32):
+        with pytest.raises(ValueError):
+            eval_urysohn_series(ctx32, 1, -1, Fraction(1, 3), 10)
+        assert eval_urysohn_series(ctx32, 1, 0, Fraction(1, 3), 10).value == 1 / 3
+
     def test_truncation_report(self, ctx32):
         sv = eval_urysohn_series(ctx32, 1, 1, Fraction(1, 3), cutoff=64)
         assert sv.truncation.cutoff == 64
@@ -271,6 +276,12 @@ class TestPatternEstimate:
         with pytest.raises(ValueError):
             urysohn_pattern_estimate(ctx32, (3,), 0, 2, 10)
 
+    @pytest.mark.parametrize("N", [0, 1, 10])
+    def test_rejects_bad_arguments_for_every_n(self, ctx32, N):
+        for word, k, r in (((2,), 0, 0), ((2,), 0, -1), ((2,), -1, 2), ((), 0, 2)):
+            with pytest.raises(ValueError):
+                urysohn_pattern_estimate(ctx32, word, k, r, N)
+
 
 class TestBudget:
     def test_table_is_charged_before_work(self, ctx32, monkeypatch):
@@ -279,6 +290,11 @@ class TestBudget:
             coefficient_table(ctx32, [0, 1, 2], 2, 5000)
         # two digits times 500 frequencies is exactly the cap
         assert coefficient_table(ctx32, [0, 1], 2, 499).count("\n") == 1 + 1000
+
+    def test_table_checks_digits_before_its_charge(self, ctx32, monkeypatch):
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "10")
+        with pytest.raises(ValueError):
+            coefficient_table(ctx32, [0, 3], 2, 5000)
 
     def test_series_is_charged_its_cutoff(self, ctx32, monkeypatch):
         monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")

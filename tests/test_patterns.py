@@ -23,7 +23,9 @@ from ratbase import (
     report_json,
     summatory_sod,
 )
-from helpers import BASES, scan_count, stream_prefix, stream_scan, word_digits
+from ratbase.patterns import _residue
+from helpers import (BASES, ORACLE_BASES, low_digit_classes, scan_count,
+                     stream_prefix, stream_scan, word_digits)
 
 KERNEL_BASES = [Base(3, 2), Base(5, 2), Base(10, 1)]
 ENGINE_BASES = BASES + [Base(7, 6)]
@@ -70,6 +72,23 @@ def _random_case(rng, base):
     N = rng.choice([0, 1, 2, 50, 400, rng.randint(3, 3000)])
     k = rng.randint(0, length(base, N) + 2)
     return w, k, N
+
+
+@pytest.mark.parametrize("base", ORACLE_BASES + [Base(131, 2)], ids=str)
+def test_residue_matches_digit_scan(base):
+    """r_w against the q < a^m whose lowest digits read w, for m <= 6."""
+    a = base.a
+    rng = random.Random(f"residue {base}")
+    for m in range(1, 7):
+        if a**m > 120_000:
+            break
+        classes = low_digit_classes(base, m)
+        assert len(classes) == a**m  # the m lowest digits fix q mod a^m
+        words = [(0,) * m, (a - 1,) * m, (0,) * (m - 1) + (1,)]
+        words += [tuple(0 if rng.random() < 0.6 else rng.randrange(1, a)
+                        for _ in range(m)) for _ in range(200)]
+        for w in words:
+            assert _residue(base, w) == classes[w]
 
 
 class TestKernelAgainstScan:
