@@ -89,6 +89,8 @@ def _translates(text: str) -> tuple[int, Iterable[Fraction]]:
         n = int((hi - lo) / step) + 1
         return n, (lo + i * step for i in range(n))
     shifts = [_fraction(t) for t in text.split(",") if t.strip()]
+    if not shifts:
+        raise argparse.ArgumentTypeError("no translate given")
     return len(shifts), shifts
 
 
@@ -354,8 +356,11 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    ctx = AdeleContext(_base_of(args))
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    boxed = [name for name in names if name in ("fourier", "boundary")]
+    if args.r == 0 and boxed:
+        raise ValueError(f"the {boxed[0]} suite needs --r >= 1")
+    ctx = AdeleContext(_base_of(args))
     failed = 0
     for name in names:
         for check, ok, detail in _SUITES[name](ctx, args):

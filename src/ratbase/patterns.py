@@ -26,8 +26,13 @@ length, not N.
 The stream z_1 z_2 z_3 ... concatenates the words of 1, 2, 3, ... in print
 order.  gamma_w(x) counts positions n <= x with (z_{n+|w|-1}, ..., z_n) = w,
 the window convention under which the stream's digit statistics mirror the
-per-word counts.  One vectorized builder makes every stream prefix; the
-stream paths charge the digits asked for (x for the counts) to the budget.
+per-word counts.  gamma runs on the same engine: windows inside words are
+counts of the reversed pattern, a window across one word boundary is a
+residue class counted in closed form over each word length, and the
+O(|w| log x) windows across more boundaries or near x are read directly.
+It is charged its sweep plus those direct reads, so x reaches about 10^12
+under the default budget.  Only the paths that print digits build a stream
+prefix, with one vectorized builder, and they are charged its length.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .adelic import _check_budget
-from .numeration import Base, _horner, format_digits, length, parse_digits
+from .numeration import (Base, DigitWord, NotInLanguage, _horner, decode, encode,
+                         format_digits, length, parse_digits)
 
 _BLOCK = 1 << 16
 _VECTOR_MIN = 32
@@ -218,13 +224,9 @@ def champernowne_digits(base: Base, m: int) -> list[int]:
 
 
 def champernowne_prefix_array(base: Base, m: int) -> np.ndarray:
-    """First m stream digits as an int8 array (int64 when a > 128)."""
+    """First m stream digits as an int8 array (int64 when a > 128), built in
+    blocks of words."""
     _check_budget(m)
-    return _prefix_array(base, m)
-
-
-def _prefix_array(base: Base, m: int) -> np.ndarray:
-    """champernowne_prefix_array without the budget charge, built in blocks."""
     a, b = base.a, base.b
     dtype = np.int8 if a <= 128 else np.int64
     out = np.empty(m, dtype=dtype)
@@ -268,27 +270,95 @@ def champernowne_freq(base: Base, pattern: Pattern, x: int) -> int:
 
 def champernowne_freq_bulk(base: Base, patterns: Sequence[Pattern],
                            checkpoints: Sequence[int]) -> dict[tuple[int, ...], list[int]]:
-    """gamma_w at several x for several w from one materialized prefix.
+    """gamma_w at several x for several w, each counted on the T(n) engine.
 
-    Each list holds the counts in the order the checkpoints are given.  The
-    budget is charged max(checkpoints) once, for the whole prefix.
+    Each list holds the counts in the order the checkpoints are given.  Every
+    count is charged its sweep, as a pattern count is, and the digits it
+    reads directly.
     """
     if not patterns:
         raise ValueError("patterns must be nonempty")
     xs = list(checkpoints)
     if any(x < 0 for x in xs):
         raise ValueError("checkpoints must be nonnegative")
-    n_count = max(xs, default=0)
-    _check_budget(n_count)
-    m_max = max(len(p) for p in patterns)
-    arr = _prefix_array(base, n_count + m_max - 1)
-    out: dict[tuple[int, ...], list[int]] = {}
-    for p in patterns:
-        mask = np.ones(n_count, dtype=bool)
-        for j, tj in enumerate(p.lsf):
-            mask &= arr[j:j + n_count] == tj
-        out[p.word] = [int(np.count_nonzero(mask[:x])) for x in xs]
-    return out
+    return {p.word: [_gamma(base, p.lsf, x) for x in xs] for p in patterns}
+
+
+def _gamma(base: Base, w: tuple[int, ...], x: int) -> int:
+    """gamma(x) for the window with z_{i+j} = w[j], counted exactly.
+
+    Word n starts after P(n) = sum_j max(0, n - lo_j(1)) stream digits, so
+    the windows of words 1..M all start at or before x for the largest M
+    with P(M + 1) <= x.  A window starting in word n <= M, with s digits
+    of n in it, lies
+    - inside n (s >= m): the reversed pattern at an exact position of n;
+    - across one boundary (the rest of it opens word n + 1): n is one class
+      mod a^s, and T^j(n + 1) = V for the word V the rest spells, with
+      j = L(n + 1) - (m - s), puts n + 1 in [lo_j(V), lo_j(V + 1));
+    - across more: it holds the whole word n + 1, which fixes n, and the
+      window is read directly, like the windows starting in word M + 1.
+    """
+    a, b = base.a, base.b
+    m = len(w)
+    first, P, L = 1, 0, 1  # first = lo_(L-1)(1), P = P(first)
+    while True:
+        nxt = -(-a * first // b)
+        if P + (nxt - first) * L > x:
+            break
+        P += (nxt - first) * L
+        first, L = nxt, L + 1
+    M = first - 1 + (x - P) // L  # word M + 1 has L digits
+    tail = x - P - (M + 1 - first) * L  # windows starting in word M + 1
+    L_M = length(base, M)
+    r_exact, _ = _window_starts(base, Pattern(base, w))
+    jobs = [(k, r_exact) for k in range(L_M - m + 1)]
+    count = sum(_progression_counts(base, jobs, a**m, M))
+    for s in range(max(1, m - L), min(m - 1, L_M) + 1):
+        V = _value(base, w[s:])
+        if V is None:
+            continue
+        mod, rho = a**s, _residue(base, w[s - 1::-1])
+        least = _lo(a, b, 1, s - 1)  # the first n with s digits
+        lo, hi = V, V + 1
+        while lo <= M + 1:
+            top, bottom = min(M, hi - 2), max(least, lo - 1)
+            if top >= bottom:
+                count += (top - rho) // mod - (bottom - 1 - rho) // mod
+            lo, hi = -(-a * lo // b), -(-a * hi // b)
+    reads = []
+    for s in range(1, min(m - 2, L_M) + 1):
+        for ell in range(1, min(m - 1 - s, L) + 1):
+            V = _value(base, w[s:s + ell])
+            if V is not None and 2 <= V <= M + 1:
+                reads.append((V - 1, s))
+    _check_budget(m * len(reads) + (tail + m - 1 if tail else 0))
+    for n, s in reads:
+        skip = length(base, n) - s
+        if skip >= 0 and _read(base, n, skip, m) == w:
+            count += 1
+    if tail:
+        z = _read(base, M + 1, 0, tail + m - 1)
+        count += sum(z[i:i + m] == w for i in range(tail))
+    return count
+
+
+def _value(base: Base, word: tuple[int, ...]) -> int | None:
+    """The integer a word names, or None when it opens with 0 or names none."""
+    if word[0] == 0:
+        return None
+    try:
+        return decode(DigitWord(base, word))
+    except NotInLanguage:
+        return None
+
+
+def _read(base: Base, n: int, skip: int, count: int) -> tuple[int, ...]:
+    """count stream digits, starting skip digits into the word of n."""
+    out: list[int] = []
+    while len(out) < skip + count:
+        out.extend(encode(base, n).digits)
+        n += 1
+    return tuple(out[skip:skip + count])
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Independent reference computations used as oracles by the tests.
 
 Everything here deliberately avoids the library's fast paths: plain
-per-integer digit scans instead of the vectorized kernel, brute-force
+per-integer digit scans instead of the counting engine, a scan of the
+stream's digits instead of counting its windows on that engine, brute-force
 residue searches instead of modular inverses, literal Fraction sums
 instead of integer Horner evaluation, Fraction box geometry instead of
 integer numerators over a^r, a Fraction lattice reduction instead of
@@ -10,7 +11,7 @@ residues of m = xi b^r, Fraction SVG coordinates instead of integers over
 a common denominator, and numerical quadrature instead of closed forms.
 Agreement between these and the library is the point of the tests, so
 nothing below imports anything fancier than frac_p, char_exponent,
-coeff_g and tile_corners.
+coeff_g, tile_corners and the stream's prefix builder.
 """
 from __future__ import annotations
 
@@ -19,9 +20,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from ratbase import (AdeleContext, AdelePoint, Base, BoundaryTube, BoxLocation,
-                     FourierCoefficient, char_exponent, coeff_g, digit, frac_p,
-                     length, tile_corners)
+                     FourierCoefficient, champernowne_prefix_array, char_exponent,
+                     coeff_g, digit, frac_p, length, tile_corners)
 
 BASES = [Base(3, 2), Base(5, 2), Base(5, 3), Base(7, 4), Base(10, 1)]
 ORACLE_BASES = BASES + [Base(7, 6)]  # the fast paths' oracle tests add b = 6
@@ -90,6 +93,34 @@ def stream_scan(base: Base, word_msf, x: int) -> int:
         1 for n in range(1, x + 1)
         if all(z[n - 1 + i] == w_lsf[i] for i in range(len(w_lsf)))
     )
+
+
+def stream_word_ends(base: Base, x: int) -> np.ndarray:
+    """Stream offsets at which the words of 1, 2, ... end, up to past x,
+    from every word length counted at once."""
+    n = np.arange(1, x + 2, dtype=np.int64)
+    lengths = np.zeros_like(n)
+    while n.any():
+        lengths += n > 0
+        n = base.b * n // base.a
+    ends = np.cumsum(lengths)
+    return ends[:np.searchsorted(ends, x) + 1]
+
+
+def stream_scan_bulk(base: Base, words_msf, xs) -> dict[tuple[int, ...], list[int]]:
+    """stream_scan for several words at several x from one stream prefix,
+    by a vectorized mask over champernowne_prefix_array (itself checked
+    against stream_prefix), for x far past what stream_scan reaches."""
+    words = [tuple(w) for w in words_msf]
+    n_count = max(xs, default=0)
+    z = champernowne_prefix_array(base, n_count + max(map(len, words)) - 1)
+    out = {}
+    for w in words:
+        mask = np.ones(n_count, dtype=bool)
+        for j, d in enumerate(reversed(w)):
+            mask &= z[j:j + n_count] == d
+        out[w] = [int(np.count_nonzero(mask[:x])) for x in xs]
+    return out
 
 
 def vp(p: int, x) -> int:

@@ -151,6 +151,12 @@ class TestOtherCommands:
         lines = r.stdout.strip().split("\n")
         assert len(lines) == 1 + 3 * 3  # translates 0, 1, 2
 
+    def test_tiles_rejects_an_empty_translate_list(self):
+        for flag in ("--translates=", "--translates=,"):
+            r = run_cli("tiles", *BASE32, "--r", "1", flag)
+            assert r.returncode == 64, flag
+            assert r.stdout == "", flag
+
     def test_tiles_translate_range_is_charged_before_it_is_built(self):
         r = run_cli("tiles", *BASE32, "--r", "1", "--translates", "0..1e12",
                     env_extra={"RATBASE_MAX_ENUM": "10"})
@@ -178,6 +184,13 @@ class TestVerifyCommand:
         r = run_cli("verify", *BASE32, "--suite", "all", "--r", "4", "--N", "200")
         assert r.returncode == 0
         assert "FAIL" not in r.stdout
+
+    @pytest.mark.parametrize("suite", ["boundary", "fourier"])
+    def test_boxed_suites_reject_level_zero(self, suite):
+        r = run_cli("verify", *BASE32, "--suite", suite, "--r", "0", "--N", "5")
+        assert r.returncode == 64
+        assert r.stdout == ""
+        assert f"{suite} suite" in r.stderr
 
     def test_sample_budget_exit_code(self):
         for suite in ("tiling", "character"):

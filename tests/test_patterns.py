@@ -2,6 +2,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,8 @@ from ratbase import (
 )
 from ratbase.patterns import _residue
 from helpers import (BASES, ORACLE_BASES, low_digit_classes, scan_count,
-                     stream_prefix, stream_scan, word_digits)
+                     stream_prefix, stream_scan, stream_scan_bulk,
+                     stream_word_ends, word_digits)
 
 KERNEL_BASES = [Base(3, 2), Base(5, 2), Base(10, 1)]
 ENGINE_BASES = BASES + [Base(7, 6)]
@@ -264,17 +266,70 @@ class TestChampernowneStream:
         assert champernowne_freq(b32, Pattern(b32, (2,)), 10) == 6
         assert champernowne_freq(b32, Pattern(b32, (2, 2)), 1) == 1
 
-    @pytest.mark.parametrize("base", [Base(3, 2), Base(5, 3), Base(10, 1)],
+    @pytest.mark.parametrize("base", ORACLE_BASES + [Base(131, 2)],
                              ids=lambda b: f"{b.a}_{b.b}")
     def test_freq_against_scan(self, base):
-        rng = random.Random(5)
-        for _ in range(12):
-            m = rng.randint(1, 3)
-            w = tuple(rng.randrange(base.a) for _ in range(m))
-            x = rng.choice([1, 7, 100, 2000])
-            pat = Pattern(base, w) if any(w) else Pattern(base, (1,))
-            got = champernowne_freq(base, pat, x)
-            assert got == stream_scan(base, pat.word, x)
+        """All-zero, zero-led, zero-heavy and occurring words up to m = 9, at
+        x = 0, 1, word starts and ends and random x; stream_scan checks the
+        small x and the vectorized scan everything up to 10^6."""
+        a = base.a
+        rng = random.Random(f"stream {base}")
+        z = stream_prefix(base, 400)
+        words = []
+        for m in range(1, 10):
+            i = rng.randrange(300)
+            words += [(0,) * m,
+                      (0,) + tuple(rng.randrange(a) for _ in range(m - 1)),
+                      tuple(0 if rng.random() < 0.6 else rng.randrange(1, a)
+                            for _ in range(m)),
+                      tuple(reversed(z[i:i + m]))]
+        ends = stream_word_ends(base, 10**6)
+        small = [0, 1, 2] + [e + d for e in ends[:6].tolist() + [int(ends[40])]
+                             for d in (-1, 0, 1)]
+        large = [rng.randrange(2000, 10**6) for _ in range(4)] + [10**6]
+        large += [int(e) + d for e in rng.sample(ends[ends > 2000].tolist(), 3)
+                  for d in (0, 1)]
+        want = stream_scan_bulk(base, words, small + large)
+        for w in words:
+            got = champernowne_freq_bulk(base, [Pattern(base, w)], small + large)[w]
+            assert got == want[w], w
+        for w in rng.sample(words, 6):
+            assert want[w][:len(small)] == [stream_scan(base, w, x) for x in small]
+
+    @pytest.mark.parametrize("base,ms,xs", [
+        (Base(3, 2), range(5, 10), range(50)),
+        (Base(10, 1), [9], [0, 1, 8, 9, 10, 189, 190, 191, 2000, 10**6]),
+    ], ids=["3_2", "10_1"])
+    def test_windows_across_many_words(self, base, ms, xs):
+        # the stream's own windows near its start span three or more short
+        # words: 3/2 words have at most four digits up to n = 7, and the
+        # 10/1 window 123456789 holds seven whole words
+        z = stream_prefix(base, 300)
+        ends = stream_word_ends(base, 300).tolist()
+        starts = [(i, m) for m in ms for i in range(0, 200, 3) if i < 50 or base.b == 1]
+        assert any(sum(i < e < i + m for e in ends) >= 2 for i, m in starts)
+        words = {tuple(reversed(z[i:i + m])) for i, m in starts}
+        want = stream_scan_bulk(base, words, list(xs))
+        assert champernowne_freq_bulk(base, [Pattern(base, w) for w in words], xs) == want
+
+    def test_frozen_at_ten_million(self, b32):
+        # gamma_w(10^7) of the prefix scan this engine replaced
+        pats = [Pattern.parse(b32, w) for w in ("21", "12", "0", "212")]
+        out = champernowne_freq_bulk(b32, pats, [10**7])
+        assert [out[p.word][0] for p in pats] == [1243963, 1285960, 3158357, 521188]
+
+    def test_bulk_memory_and_reach(self, b32, monkeypatch):
+        # the prefix scan held every digit up to x: 28.6 MiB for this call
+        pats = [Pattern.parse(b32, w) for w in ("21", "12", "0", "212")]
+        tracemalloc.start()
+        try:
+            champernowne_freq_bulk(b32, pats, [10**5, 10**6, 10**7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        monkeypatch.delenv("RATBASE_MAX_ENUM", raising=False)
+        assert champernowne_freq(b32, pats[0], 10**12) > 0
 
     def test_bulk_path_agrees_with_scan(self, b32):
         pat = Pattern(b32, (2,))
@@ -333,10 +388,14 @@ class TestChampernowneStream:
         assert champernowne_freq(b32, pat, 1000) == stream_scan(b32, (2, 1), 1000)
         with pytest.raises(ScaleExceeded):
             champernowne_digits(b32, 1001)
+        # frequencies are charged the engine's sweep and direct reads, not x
+        assert champernowne_freq(b32, pat, 1001) == stream_scan(b32, (2, 1), 1001)
         with pytest.raises(ScaleExceeded):
-            champernowne_freq(b32, pat, 1001)
+            champernowne_freq(b32, pat, 10**9)
         with pytest.raises(ScaleExceeded):
-            champernowne_freq_bulk(b32, [pat], [10, 1001])
+            champernowne_freq_bulk(b32, [pat], [10, 10**9])
+        with pytest.raises(ScaleExceeded):
+            champernowne_freq(b32, Pattern(b32, (2,) * 2000), 11)
 
 
 class TestReports:
