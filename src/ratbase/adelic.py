@@ -256,6 +256,8 @@ def locate_box(ctx: AdeleContext, z, r: int) -> BoxLocation:
     t / q for a b-power q; the scaled corner is y / q with
     y = t + q floor(alpha^r z_oo - t / q), and the corner is y b^r / (q a^r).
     """
+    if r < 0:
+        raise ValueError("level must be >= 0")
     z = _as_point(ctx, z)
     a, b = ctx.base.a, ctx.base.b
     ar, br = a**r, b**r
@@ -307,6 +309,8 @@ def verify_residue_system(ctx: AdeleContext, r: int) -> bool:
     at a time by X mod a^r, are pairwise non-congruent iff they mark every
     class.
     """
+    if r < 0:
+        raise ValueError("level must be >= 0")
     a, b = ctx.base.a, ctx.base.b
     _check_budget(a**r)
     mod = a**r
@@ -417,6 +421,8 @@ def boundary_tubes(ctx: AdeleContext, r: int, resolution: int) -> dict[int, Boun
     resolution grows.  The result is an over-approximation of the boundary
     region; only its emptiness claims are load-bearing.
     """
+    if r < 0:
+        raise ValueError("level must be >= 0")
     a, b = ctx.base.a, ctx.base.b
     if resolution <= r:
         raise ValueError("resolution must exceed the tube level")
@@ -525,7 +531,12 @@ def fiber_interval(ctx: AdeleContext, c: Fraction, r: int,
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if r < 0:
+        raise ValueError("level must be >= 0")
     num, n = _fiber_numerator(ctx, Fraction(c), r - 1, scheme)
+    if n < 0:  # alpha-digits at level 0: the values are multiples of b
+        b = ctx.base.b
+        return Fraction(num * b), Fraction((num + 1) * b)
     den = ctx.base.b**n
     return Fraction(num, den), Fraction(num + 1, den)
 

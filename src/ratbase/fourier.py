@@ -138,8 +138,11 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
                       max_m: int) -> str:
     """CSV of c'_{d,r,m/b^r} for m = 0..max_m, one row per (digit, m).
 
-    Checks digits, then charges len(digits) * (max_m + 1) to the budget.
+    Checks the level and digits, then charges len(digits) * (max_m + 1) to
+    the budget.
     """
+    if r < 0:
+        raise ValueError("level must be >= 0")
     for d in digits:
         if not 0 <= d < ctx.base.a:
             raise ValueError(f"digit {d} outside alphabet")
@@ -208,6 +211,10 @@ def series_tail_bound(ctx: AdeleContext, r: int, cutoff: int) -> float:
     Each |c_{x,r,xi}| is at most a^r / (pi^2 m^2) since |1-e(u)| <= 2, there
     are a^(r-1) corners, and sum_{m > X} m^(-2) <= 1/floor(X).
     """
+    if r < 0:
+        raise ValueError("level must be >= 0")
+    if cutoff < 1:
+        raise ValueError("cutoff must be positive")
     a = ctx.base.a
     return 2.0 * a ** (2 * r - 1) / (math.pi**2 * cutoff)
 

@@ -33,6 +33,9 @@ O(|w| log x) windows across more boundaries or near x are read directly.
 It is charged its sweep plus those direct reads, so x reaches about 10^12
 under the default budget.  Only the paths that print digits build a stream
 prefix, with one vectorized builder, and they are charged its length.
+
+numpy is imported by the long leftover sweeps and the prefix builder, at
+their first call, so importing ratbase does not load it.
 """
 
 from __future__ import annotations
@@ -41,13 +44,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .adelic import _check_budget
 from .numeration import (Base, DigitWord, NotInLanguage, _horner, decode, encode,
                          format_digits, length, parse_digits)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BLOCK = 1 << 16
 _VECTOR_MIN = 32
@@ -119,11 +123,12 @@ def _interval_sizes(a: int, b: int, k: int, first: int, step: int, count: int,
 
     Every q here lies below T^k(N), so every lo_k value stays <= N and the
     sweep fits int64 whenever a*N does.  Short sweeps and huge N use Python
-    integers; long ones run on numpy blocks.
+    integers; long ones run on numpy blocks, and only they import numpy.
     """
     if count < _VECTOR_MIN or a * N > _INT64_MAX:
         return sum(_lo(a, b, q + 1, k) - _lo(a, b, q, k)
                    for q in range(first, first + step * count, step))
+    import numpy as np
     total = 0
     for start in range(0, count, _BLOCK):
         q = first + step * np.arange(start, min(start + _BLOCK, count), dtype=np.int64)
@@ -226,7 +231,10 @@ def champernowne_digits(base: Base, m: int) -> list[int]:
 def champernowne_prefix_array(base: Base, m: int) -> np.ndarray:
     """First m stream digits as an int8 array (int64 when a > 128), built in
     blocks of words."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     _check_budget(m)
+    import numpy as np
     a, b = base.a, base.b
     dtype = np.int8 if a <= 128 else np.int64
     out = np.empty(m, dtype=dtype)

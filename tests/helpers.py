@@ -378,7 +378,7 @@ def fiber_interval_ref(ctx: AdeleContext, c, r: int,
                        scheme: str = "alpha-digits") -> tuple[Fraction, Fraction]:
     lo = fiber_value_ref(ctx, c, r - 1, scheme)
     b = ctx.base.b
-    width = Fraction(1, b ** (r - 1)) if scheme == "alpha-digits" else Fraction(1, b**r)
+    width = Fraction(b) ** (1 - r) if scheme == "alpha-digits" else Fraction(1, b**r)
     return lo, lo + width
 
 

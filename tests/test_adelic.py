@@ -17,6 +17,7 @@ from ratbase import (
     char_tilde,
     character,
     classify_digit,
+    coefficient_table,
     corner_of_residues,
     count_boundary_hits,
     cover_census,
@@ -505,7 +506,7 @@ class TestIntegerGeometryOracles:
         rng = random.Random(f"fiber {base}")
         for i, z in enumerate(_oracle_points(ctx, rng, 400)):
             x = z.real if isinstance(z, AdelePoint) else z
-            r = 1 + i % 8
+            r = i % 9
             for scheme in ("alpha-digits", "p-adic-digits"):
                 assert repr(fiber_interval(ctx, x, r, scheme)) == repr(
                     fiber_interval_ref(ctx, x, r, scheme))
@@ -523,3 +524,37 @@ class TestIntegerGeometryOracles:
                 continue  # the Fraction reference is slow there
             assert repr(boundary_tubes(ctx, r, resolution)) == repr(
                 boundary_tubes_ref(ctx, r, resolution))
+
+
+# every entry point that takes a box level, called at level -1
+NEGATIVE_LEVEL_CALLS = {
+    "locate_box": lambda ctx: locate_box(ctx, Fraction(1, 3), -1),
+    "cover_census": lambda ctx: cover_census(ctx, Fraction(1, 3), -1),
+    "verify_residue_system": lambda ctx: verify_residue_system(ctx, -1),
+    "boundary_tubes": lambda ctx: boundary_tubes(ctx, -1, 1),
+    "fiber_interval": lambda ctx: fiber_interval(ctx, Fraction(0), -1),
+    "fiber_interval_p_adic": lambda ctx: fiber_interval(ctx, Fraction(0), -1,
+                                                        "p-adic-digits"),
+    "coefficient_table": lambda ctx: coefficient_table(ctx, [0], -1, 3),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_LEVEL_CALLS.values(), ids=NEGATIVE_LEVEL_CALLS)
+def test_negative_level_is_a_value_error(call, ctx32, monkeypatch):
+    # a zero cap shows that the level is checked before any budget charge
+    monkeypatch.setenv("RATBASE_MAX_ENUM", "0")
+    with pytest.raises(ValueError, match="level"):
+        call(ctx32)
+
+
+def test_level_zero_is_valid(ctx32):
+    tubes = boundary_tubes(ctx32, 0, 1)
+    assert all(tubes[d].members == {0} for d in range(3))
+    loc = locate_box(ctx32, Fraction(7, 3), 0)
+    assert (loc.corner, loc.residues) == (2, ())
+    assert cover_census(ctx32, Fraction(7, 3), 0) == (1, False)
+    assert verify_residue_system(ctx32, 0)
+    # the level-0 ball c + Z_2 holds the level-1 balls of its points
+    assert fiber_interval(ctx32, Fraction(1, 2), 0) == (2, 4)
+    assert fiber_interval(ctx32, Fraction(1, 2), 1) == (3, 4)
+    assert fiber_interval(ctx32, Fraction(1, 2), 0, "p-adic-digits") == (1, 2)

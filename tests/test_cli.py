@@ -192,6 +192,14 @@ class TestVerifyCommand:
         assert r.stdout == ""
         assert f"{suite} suite" in r.stderr
 
+    @pytest.mark.parametrize("suite", ["fourier", "all"])
+    def test_zero_cutoff_is_a_usage_error(self, suite):
+        r = run_cli("verify", *BASE32, "--suite", suite, "--r", "2", "--N", "5",
+                    "--cutoff", "0")
+        assert r.returncode == 64
+        assert "cutoff must be positive" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_sample_budget_exit_code(self):
         for suite in ("tiling", "character"):
             r = run_cli("verify", *BASE32, "--suite", suite, "--r", "2", "--N", "20000",

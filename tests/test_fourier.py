@@ -222,10 +222,14 @@ class TestSeriesEvaluation:
     def test_rejects_empty_truncation(self, ctx32):
         with pytest.raises(ValueError):
             eval_urysohn_series(ctx32, 1, 1, Fraction(1, 3), cutoff=0)
+        with pytest.raises(ValueError, match="cutoff"):
+            series_tail_bound(ctx32, 1, 0)
 
     def test_rejects_negative_level(self, ctx32):
         with pytest.raises(ValueError):
             eval_urysohn_series(ctx32, 1, -1, Fraction(1, 3), 10)
+        with pytest.raises(ValueError, match="level"):
+            series_tail_bound(ctx32, -1, 10)
         assert eval_urysohn_series(ctx32, 1, 0, Fraction(1, 3), 10).value == 1 / 3
 
     def test_truncation_report(self, ctx32):

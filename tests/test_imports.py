@@ -1,8 +1,17 @@
-"""Every name a library module imports is used in that module."""
+"""Imports: every name a library module imports is used in that module, and
+importing ratbase, or running a command that never sweeps, leaves numpy
+unloaded."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from ratbase import Base
+from helpers import stream_prefix
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ratbase"
 
@@ -34,3 +43,116 @@ def test_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_library_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def eager_imports(source: str, package: str) -> list[int]:
+    """Lines of the import statements for package that run when the module
+    is imported: those outside function bodies and `if TYPE_CHECKING:`."""
+    lines: list[int] = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            modules = []
+        if any(m.split(".")[0] == package for m in modules):
+            lines.append(node.lineno)
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            children = node.orelse
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child)
+
+    visit(ast.parse(source))
+    return lines
+
+
+def test_finds_an_eager_import():
+    src = ("import numpy\n"
+           "from numpy import array\n"
+           "from typing import TYPE_CHECKING\n"
+           "if TYPE_CHECKING:\n"
+           "    import numpy as np\n"
+           "else:\n"
+           "    import numpy.linalg\n"
+           "def f():\n"
+           "    import numpy as np\n"
+           "class C:\n"
+           "    from numpy import int64\n"
+           "try:\n"
+           "    import numpy\n"
+           "except ImportError:\n"
+           "    pass\n"
+           "import numpyro\n")
+    assert eager_imports(src, "numpy") == [1, 2, 7, 11, 13]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_not_imported_at_module_level(path):
+    assert eager_imports(path.read_text(encoding="utf-8"), "numpy") == []
+
+
+def run_fresh(code: str) -> dict:
+    """Run code in a new interpreter with ratbase importable; code prints
+    one JSON object, which is returned with whether numpy got loaded."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\n"
+         "print(json.dumps(dict(result, numpy='numpy' in sys.modules)))"],
+        capture_output=True, text=True, check=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path))
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_importing_ratbase_leaves_numpy_unloaded():
+    got = run_fresh("import json, ratbase, ratbase.cli\nresult = {}")
+    assert got == {"numpy": False}
+
+
+BASE32 = ["--a", "3", "--b", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", *BASE32, "7"],
+    ["decode", *BASE32, "2122"],
+    ["fourier", *BASE32, "--r", "2", "--max-xi", "5"],
+    ["tiles", *BASE32, "--r", "2"],
+    ["verify", *BASE32, "--suite", "tiling", "--r", "2", "--N", "5"],
+], ids=lambda argv: argv[0])
+def test_commands_that_never_sweep_leave_numpy_unloaded(argv):
+    got = run_fresh(
+        "import contextlib, io, json\n"
+        "from ratbase import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    result = {{'rc': cli.main({argv!r})}}")
+    assert got == {"rc": 0, "numpy": False}
+
+
+def test_long_sweeps_and_the_prefix_builder_load_numpy():
+    got = run_fresh(
+        "import json\n"
+        "from ratbase import Base, Pattern, champernowne_digits, count_pattern\n"
+        "b74, b32 = Base(7, 4), Base(3, 2)\n"
+        "result = {'total': count_pattern(b74, Pattern(b74, (3, 1)), 10**8).total,\n"
+        "          'digits': champernowne_digits(b32, 1000)}")
+    assert got == {"total": 56670352, "digits": stream_prefix(Base(3, 2), 1000),
+                   "numpy": True}
+
+
+def test_negative_prefix_length_is_refused_before_numpy():
+    got = run_fresh(
+        "import json\n"
+        "from ratbase import Base, champernowne_digits, champernowne_prefix_array\n"
+        "result = {'errors': []}\n"
+        "for build in (champernowne_prefix_array, champernowne_digits):\n"
+        "    try:\n"
+        "        build(Base(3, 2), -1)\n"
+        "    except ValueError as exc:\n"
+        "        result['errors'].append(str(exc))")
+    assert got == {"errors": ["m must be nonnegative"] * 2, "numpy": False}
