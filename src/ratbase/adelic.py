@@ -451,6 +451,8 @@ def boundary_tubes(ctx: AdeleContext, r: int, resolution: int) -> dict[int, Boun
 def count_boundary_hits(ctx: AdeleContext, k: int, r: int, N: int,
                         tube: BoundaryTube) -> int:
     """How many of the reduced points for n <= N land in tube boxes; charged N."""
+    if N < 0:
+        raise ValueError("N must be nonnegative")
     _check_budget(N)
     hits = 0
     for n in range(1, N + 1):

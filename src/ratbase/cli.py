@@ -360,6 +360,8 @@ def cmd_verify(args) -> int:
     boxed = [name for name in names if name in ("fourier", "boundary")]
     if args.r == 0 and boxed:
         raise ValueError(f"the {boxed[0]} suite needs --r >= 1")
+    if args.cutoff < 1 and "fourier" in names:
+        raise ValueError("cutoff must be positive")
     ctx = AdeleContext(_base_of(args))
     failed = 0
     for name in names:

@@ -143,6 +143,8 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
     """
     if r < 0:
         raise ValueError("level must be >= 0")
+    if max_m < 0:
+        raise ValueError("max_m must be nonnegative")
     for d in digits:
         if not 0 <= d < ctx.base.a:
             raise ValueError(f"digit {d} outside alphabet")
@@ -305,6 +307,8 @@ def urysohn_pattern_estimate(ctx: AdeleContext, word: Sequence[int], k: int,
     w_lsf = tuple(reversed(tuple(word)))
     if not w_lsf or r < 1 or k < 0:
         raise ValueError("need a nonempty word, level >= 1 and k >= 0")
+    if N < 0:
+        raise ValueError("N must be nonnegative")
     for d in w_lsf:
         if not 0 <= d < ctx.base.a:
             raise ValueError(f"digit {d} outside alphabet")

@@ -32,7 +32,8 @@ residue class counted in closed form over each word length, and the
 O(|w| log x) windows across more boundaries or near x are read directly.
 It is charged its sweep plus those direct reads, so x reaches about 10^12
 under the default budget.  Only the paths that print digits build a stream
-prefix, with one vectorized builder, and they are charged its length.
+prefix, one band of equal-length words at a time on the same T(n) tree,
+and they are charged its length.
 
 numpy is imported by the long leftover sweeps and the prefix builder, at
 their first call, so importing ratbase does not load it.
@@ -229,46 +230,29 @@ def champernowne_digits(base: Base, m: int) -> list[int]:
 
 
 def champernowne_prefix_array(base: Base, m: int) -> np.ndarray:
-    """First m stream digits as an int8 array (int64 when a > 128), built in
-    blocks of words."""
+    """First m stream digits as an int8 array (int64 when a > 128).
+
+    The words of length L are the n in [lo, ceil(a lo / b)), each its parent
+    T(n)'s word, one band down, plus the digit b n mod a: one gather of parent
+    rows and one digit column per band, from the empty word of 0 up to the
+    band holding digit m.  O(m) work, and about twice the output at the peak.
+    """
     if m < 0:
         raise ValueError("m must be nonnegative")
     _check_budget(m)
     import numpy as np
     a, b = base.a, base.b
     dtype = np.int8 if a <= 128 else np.int64
-    out = np.empty(m, dtype=dtype)
-    filled = 0
-    n0 = 1
-    while filled < m:
-        # every n >= n0 has at least length(n0) digits; sizing the block by
-        # the longest word of that first guess keeps the overshoot small
-        rem = m - filled
-        guess = min(1 << 17, -(-rem // length(base, n0)))
-        block = min(guess, -(-rem // length(base, n0 + guess - 1)))
-        ns = np.arange(n0, n0 + block, dtype=np.int64)
-        n0 += block
-        levels: list[np.ndarray] = []
-        lens = np.zeros(len(ns), dtype=np.int64)
-        cur = ns.copy()
-        while True:
-            live = cur > 0
-            if not live.any():
-                break
-            lens += live
-            bn = b * cur
-            levels.append((bn % a).astype(dtype))
-            cur = bn // a
-        total = int(lens.sum())
-        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        buf = np.empty(total, dtype=dtype)
-        for j, dig in enumerate(levels):
-            sel = lens > j
-            buf[starts[sel] + (lens[sel] - 1 - j)] = dig[sel]
-        take = min(total, m - filled)
-        out[filled:filled + take] = buf[:take]
-        filled += take
-    return out
+    words = np.empty((1, 0), dtype=dtype)  # the band of 0, first n = 0
+    bands = [words.ravel()]
+    first, lo, left = 0, 1, m
+    while left > 0:
+        L, hi = words.shape[1] + 1, -(-a * lo // b)
+        bn = b * np.arange(lo, min(hi, lo - (-left // L)), dtype=np.int64)
+        words = np.column_stack((words[bn // a - first], (bn % a).astype(dtype)))
+        bands.append(words.ravel()[:left])
+        first, lo, left = lo, hi, left - words.size
+    return np.concatenate(bands)
 
 
 def champernowne_freq(base: Base, pattern: Pattern, x: int) -> int:

@@ -10,6 +10,7 @@ from ratbase import (
     AdelePoint,
     Base,
     BoundaryAmbiguous,
+    BoundaryTube,
     NotIntegral,
     ScaleExceeded,
     boundary_tubes,
@@ -31,6 +32,7 @@ from ratbase import (
     membership_point,
     reduce_mod_lattice,
     tile_corners,
+    urysohn_pattern_estimate,
     verify_residue_system,
 )
 from helpers import (
@@ -545,6 +547,30 @@ def test_negative_level_is_a_value_error(call, ctx32, monkeypatch):
     monkeypatch.setenv("RATBASE_MAX_ENUM", "0")
     with pytest.raises(ValueError, match="level"):
         call(ctx32)
+
+
+# every entry point that takes a count of points or rows, called at -1 or -5
+NEGATIVE_COUNT_CALLS = {
+    "urysohn_pattern_estimate": lambda ctx: urysohn_pattern_estimate(ctx, (1,), 0, 1, -1),
+    "coefficient_table": lambda ctx: coefficient_table(ctx, [0], 1, -1),
+    "count_boundary_hits": lambda ctx: count_boundary_hits(
+        ctx, 0, 2, -5, BoundaryTube(0, 2, 3, frozenset({Fraction(0)}))),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_COUNT_CALLS.values(), ids=NEGATIVE_COUNT_CALLS)
+def test_negative_count_is_a_value_error(call, ctx32, monkeypatch):
+    # a zero cap shows that the count is checked before any budget charge
+    monkeypatch.setenv("RATBASE_MAX_ENUM", "0")
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        call(ctx32)
+
+
+def test_zero_counts_are_valid(ctx32):
+    tube = boundary_tubes(ctx32, 2, 3)[0]
+    assert urysohn_pattern_estimate(ctx32, (1,), 0, 1, 0) == 0
+    assert coefficient_table(ctx32, [0], 1, 0).count("\n") == 2
+    assert count_boundary_hits(ctx32, 0, 2, 0, tube) == 0
 
 
 def test_level_zero_is_valid(ctx32):

@@ -200,6 +200,17 @@ class TestVerifyCommand:
         assert "cutoff must be positive" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_zero_cutoff_is_refused_before_any_suite(self):
+        r = run_cli("verify", *BASE32, "--suite", "all", "--r", "2", "--N", "5",
+                    "--cutoff", "0")
+        assert r.returncode == 64
+        assert r.stdout == ""
+        # the cutoff belongs to the fourier suite alone
+        r = run_cli("verify", *BASE32, "--suite", "tiling", "--r", "2", "--N", "5",
+                    "--cutoff", "0")
+        assert r.returncode == 0
+        assert "FAIL" not in r.stdout
+
     def test_sample_budget_exit_code(self):
         for suite in ("tiling", "character"):
             r = run_cli("verify", *BASE32, "--suite", suite, "--r", "2", "--N", "20000",

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -339,7 +340,7 @@ class TestChampernowneStream:
 
     def test_prefix_array_across_blocks(self):
         # the 10/1 stream is the decimal Champernowne word; a million digits
-        # take several blocks and end inside a number
+        # take six word-length bands and end inside a number
         b10 = Base(10, 1)
         m = 1_000_003
         text = "".join(str(n) for n in range(1, 200_000))
@@ -362,12 +363,37 @@ class TestChampernowneStream:
         with pytest.raises(ValueError):
             champernowne_prefix_array(b32, -1)
 
-    @pytest.mark.parametrize("base", [Base(3, 2), Base(7, 6), Base(10, 1)], ids=str)
+    @pytest.mark.parametrize("base", ORACLE_BASES + [Base(131, 2), Base(200, 199)],
+                             ids=str)
     def test_prefix_array_lengths(self, base):
-        # the block sizes follow the word lengths; every cut must land right
+        # the builder makes one band of words per word length and cuts the
+        # last band short, so every cut at or next to a band end must land
+        # right; 200/199 has a band per word up to n = 199 and int64 digits
         want = stream_prefix(base, 20000)
-        for m in (0, 1, 2, 57, 1999, 20000):
-            assert champernowne_prefix_array(base, m).tolist() == want[:m]
+        ends = stream_word_ends(base, 20000)
+        sizes = np.diff(ends, prepend=0)
+        band_ends = ends[:-1][sizes[1:] > sizes[:-1]].tolist()
+        assert band_ends
+        ms = {0, 1, 2, 57, 1999, 20000} | {e + d for e in band_ends for d in (-1, 0, 1)}
+        dtype = np.int8 if base.a <= 128 else np.int64
+        for m in sorted(ms):
+            got = champernowne_prefix_array(base, m)
+            assert got.dtype == dtype and got.shape == (m,)
+            assert got.tolist() == want[:m], m
+
+    def test_prefix_array_memory_at_ten_million(self, b32):
+        # 10^7 int8 digits; the block, level and scatter builder this one
+        # replaced peaked at about 2.68 bytes per digit
+        m = 10**7
+        tracemalloc.start()
+        try:
+            arr = champernowne_prefix_array(b32, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * m
+        # gamma_0(10^7), frozen in test_frozen_at_ten_million
+        assert np.count_nonzero(arr == 0) == 3_158_357
 
     def test_wide_alphabet_stream(self):
         base = Base(131, 2)
