@@ -126,8 +126,13 @@ def cmd_patterns(args) -> int:
     base = _base_of(args)
     pattern = Pattern.parse(base, args.w)
     if args.k is not None:
-        print(count_pattern_at(base, pattern, args.k, args.N, padded=args.padded))
+        if args.horizons or args.format == "json":
+            raise ValueError("--k takes neither --horizons nor --format json")
+        n = count_pattern_at(base, pattern, args.k, args.N, padded=args.padded)
+        _write_out(args, f"{n}\n")
         return EXIT_OK
+    if args.padded:
+        raise ValueError("--padded needs --k")
     if args.horizons:
         rows = asymptotic_report(base, pattern, args.horizons)
         text = report_json(rows) if args.format == "json" else report_csv(rows)

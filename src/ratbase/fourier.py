@@ -19,9 +19,10 @@ f_{d,r}(Phi(z)) = (1 - theta) [digit(x) = d] + theta [digit(x + h) = d].
 All frequency bookkeeping is exact and runs on integers.  On the support
 xi = m / b^r every character exponent coeff_f needs is m times a fixed
 rational mod 1, kept as an integer residue over a power of a (gcd(a, b) = 1
-makes b invertible there); the series reads the character of a point as a
-residue P mod Q.  Fraction is the type of exact results, and a coefficient
-is only ever evaluated to floating point at the end.
+makes b invertible there), and the diagonal character of a rational point
+is read as a residue P mod Q.  A coefficient's value is evaluated to
+floating point once, from those integers, when the coefficient is built;
+Fraction is the type of the exact results.
 """
 
 from __future__ import annotations
@@ -33,35 +34,46 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .adelic import (AdeleContext, _check_budget, _split_b, char_exponent,
-                     locate_box, max_enum, membership_point)
+from .adelic import (AdeleContext, _check_budget, _split_b, locate_box,
+                     max_enum, membership_point)
 
 
 @dataclass(frozen=True)
 class FourierCoefficient:
-    """One coefficient, kept in exact pieces until evaluated.
+    """One coefficient at frequency xi, with its value.
 
-    value = scale * |1 - e(osc)|^2 / pi^2 * e(phase) * factor_sum, except
-    that `exact` short-circuits everything when the value is known to be a
-    rational number (the zero mode, and the exact vanishing locus).
+    `exact` is the value as a rational number where it is one (the zero
+    mode and the exact vanishing locus), and None elsewhere.
     """
 
     frequency: Fraction
-    scale: Fraction
-    osc: Fraction | None
-    phase: Fraction
-    factor_sum: complex = 1.0 + 0.0j
-    exact: Fraction | None = None
+    value: complex
+    exact: Fraction | None
 
-    @property
-    def value(self) -> complex:
-        if self.exact is not None:
-            return complex(self.exact)
-        t = self.osc - math.floor(self.osc)
-        amp = 2.0 - 2.0 * math.cos(2.0 * math.pi * float(t))
-        u = self.phase - math.floor(self.phase)
-        unit = cmath.exp(2j * math.pi * float(u))
-        return float(self.scale) * amp / math.pi**2 * unit * self.factor_sum
+
+def _mode(ctx: AdeleContext, r: int, xi: Fraction) -> int | None:
+    """m = xi b^r, or None where the coefficient is exact: at xi = 0, off
+    (1/b^r) Z, and where osc = alpha^(-r) xi = m / a^r is an integer."""
+    if r < 0:
+        raise ValueError("level must be >= 0")
+    m, off = divmod(xi.numerator * ctx.base.b**r, xi.denominator)
+    return None if off or m % ctx.base.a**r == 0 else m
+
+
+def _chi_residue(ctx: AdeleContext, num: int, den: int) -> tuple[int, int]:
+    """(P, Q) with chi~(num / den) = e(P / Q): Q is the part of den prime
+    to b, B the rest, and P = -num B^(-1) mod Q."""
+    den_b, Q = _split_b(ctx, den)
+    return -num * pow(den_b, -1, Q) % Q, Q
+
+
+def _closed_form(xi: Fraction, m: int, ar: int, P: int, Q: int,
+                 factor: complex) -> FourierCoefficient:
+    """a^r / (4 m^2) |1 - e(m / a^r)|^2 / pi^2 e(P / Q) factor at xi = m / b^r."""
+    amp = 2.0 - 2.0 * math.cos(2.0 * math.pi * (m % ar / ar))
+    unit = cmath.exp(2j * math.pi * (P / Q))
+    value = ar / (4 * m * m) * amp / math.pi**2 * unit * factor
+    return FourierCoefficient(xi, value, None)
 
 
 def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
@@ -71,22 +83,13 @@ def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
     above with phase chi~(-x xi).
     """
     x, xi = Fraction(x), Fraction(xi)
-    a, b = ctx.base.a, ctx.base.b
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    if xi == 0:
-        return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
-                                  exact=Fraction(1, a**r))
-    if (xi * b**r).denominator != 1:
-        return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
-                                  exact=Fraction(0))
-    osc = ctx.alpha_pow(-r) * xi
-    if osc.denominator == 1:
-        return FourierCoefficient(xi, Fraction(0), osc, Fraction(0),
-                                  exact=Fraction(0))
-    scale = Fraction(a**r, b ** (2 * r)) / (4 * xi * xi)
-    phase = char_exponent(ctx, -x * xi)
-    return FourierCoefficient(xi, scale, osc, phase)
+    m = _mode(ctx, r, xi)
+    ar = ctx.base.a**r
+    if m is None:
+        q = Fraction(1, ar) if xi == 0 else Fraction(0)
+        return FourierCoefficient(xi, complex(q), q)
+    P, Q = _chi_residue(ctx, -x.numerator * xi.numerator, x.denominator * xi.denominator)
+    return _closed_form(xi, m, ar, P, Q, complex(1.0))
 
 
 def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
@@ -109,20 +112,11 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
     a, b = ctx.base.a, ctx.base.b
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    if xi == 0:
-        return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
-                                  exact=Fraction(1, a))
-    m, off = divmod(xi.numerator * b**r, xi.denominator)
-    if off:
-        return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
-                                  exact=Fraction(0))
+    m = _mode(ctx, r, xi)
+    if m is None or m % a == 0:
+        q = Fraction(1, a) if xi == 0 else Fraction(0)
+        return FourierCoefficient(xi, complex(q), q)
     ar = a**r
-    osc = Fraction(m, ar)
-    if r == 0 or m % a == 0:
-        return FourierCoefficient(xi, Fraction(0), osc, Fraction(0),
-                                  exact=Fraction(0))
     w = -m * pow(b, -r, ar) % ar  # t_k = (w b^k mod a^k) / a^k
     factor = complex(1.0)
     ak, bk = a, b
@@ -130,8 +124,7 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
         ak, bk = ak * a, bk * b
         c = w * bk % ak
         factor *= sum(cmath.exp(-2j * math.pi * ((e * c % ak) / ak)) for e in range(a))
-    phase = Fraction(-d * w * b % a, a)
-    return FourierCoefficient(xi, Fraction(ar, 4 * m * m), osc, phase, factor_sum=factor)
+    return _closed_form(xi, m, ar, -d * w * b % a, a, factor)
 
 
 def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
@@ -268,9 +261,8 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
 
     Terms pair m with -m, whose contributions are complex conjugates, so the
     partial sum is real by construction; the truncation error is bounded by
-    series_tail_bound.  The character of z / b^r is e(theta) with
-    theta = P / Q: Q is the part of z's denominator times b^r prime to b,
-    B the rest, and P = -num B^(-1) mod Q.
+    series_tail_bound.  The character of m z / b^r is e(m P / Q), with
+    chi~(z / b^r) = e(P / Q) read as an integer residue.
     """
     if r < 0:
         raise ValueError("level must be >= 0")
@@ -279,8 +271,7 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
     z = Fraction(z)
     a, b = ctx.base.a, ctx.base.b
     pairs = _series_coeffs(ctx, d, r, cutoff)
-    den_b, Q = _split_b(ctx, z.denominator * b**r)
-    P = -z.numerator * pow(den_b, -1, Q) % Q
+    P, Q = _chi_residue(ctx, z.numerator, z.denominator * b**r)
     total = 1.0 / a
     for m, c in pairs:
         ang = 2.0 * math.pi * ((m * P) % Q) / Q

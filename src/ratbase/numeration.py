@@ -100,10 +100,18 @@ class DigitWord:
         return cls(base, parse_digits(base, text))
 
 
+# byte d to the character of digit d for d < 10, and every other byte to
+# 0xff, which ASCII decoding refuses
+_DIGIT_CHARS = b"0123456789" + b"\xff" * 246
+
+
 def format_digits(base: Base, digits: tuple[int, ...]) -> str:
-    """Serialize digits: plain ASCII when a <= 10, else "(d,d,...)"."""
+    """Serialize digits: plain ASCII when a <= 10, else "(d,d,...)".
+
+    In the ASCII form a digit outside 0..9 is a ValueError.
+    """
     if base.a <= 10:
-        return "".join(str(d) for d in digits)
+        return bytes(digits).translate(_DIGIT_CHARS).decode("ascii")
     return "(" + ",".join(str(d) for d in digits) + ")"
 
 

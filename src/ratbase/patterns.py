@@ -48,8 +48,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .adelic import _check_budget
-from .numeration import (Base, DigitWord, NotInLanguage, _horner, decode, encode,
-                         format_digits, length, parse_digits)
+from .numeration import (Base, _horner, encode, format_digits, length,
+                         parse_digits)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -338,10 +338,8 @@ def _value(base: Base, word: tuple[int, ...]) -> int | None:
     """The integer a word names, or None when it opens with 0 or names none."""
     if word[0] == 0:
         return None
-    try:
-        return decode(DigitWord(base, word))
-    except NotInLanguage:
-        return None
+    n, rest = divmod(_horner(base.a, base.b, word), base.b ** len(word))
+    return None if rest else n
 
 
 def _read(base: Base, n: int, skip: int, count: int) -> tuple[int, ...]:

@@ -413,8 +413,41 @@ def boundary_tubes_ref(ctx: AdeleContext, r: int, resolution: int) -> dict[int, 
 
 
 # ---------------------------------------------------------------------------
-# Fraction reference Fourier coefficients: coeff_f as it was before it moved
-# to integer residues of m = xi b^r, and the direct corner sum.
+# Fraction reference Fourier coefficients: coeff_g and coeff_f as they were
+# before they moved to integer residues of m = xi b^r, each coefficient kept
+# in the pieces scale, osc, phase and factor_sum and evaluated by the formula
+# those pieces were read with, and the direct corner sum.
+
+
+def _from_pieces(xi: Fraction, scale: Fraction, osc: Fraction | None, phase: Fraction,
+                 factor_sum: complex = 1.0 + 0.0j,
+                 exact: Fraction | None = None) -> FourierCoefficient:
+    """The coefficient worth scale * |1 - e(osc)|^2 / pi^2 * e(phase) *
+    factor_sum, or exact where that is given."""
+    if exact is not None:
+        return FourierCoefficient(xi, complex(exact), exact)
+    t = osc - math.floor(osc)
+    amp = 2.0 - 2.0 * math.cos(2.0 * math.pi * float(t))
+    u = phase - math.floor(phase)
+    unit = cmath.exp(2j * math.pi * float(u))
+    return FourierCoefficient(
+        xi, float(scale) * amp / math.pi**2 * unit * factor_sum, None)
+
+
+def coeff_g_ref(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
+    """coeff_g with Fraction powers of alpha and its phase from char_exponent."""
+    x, xi = Fraction(x), Fraction(xi)
+    a, b = ctx.base.a, ctx.base.b
+    if xi == 0:
+        return _from_pieces(xi, Fraction(0), None, Fraction(0), exact=Fraction(1, a**r))
+    if (xi * b**r).denominator != 1:
+        return _from_pieces(xi, Fraction(0), None, Fraction(0), exact=Fraction(0))
+    osc = ctx.alpha_pow(-r) * xi
+    if osc.denominator == 1:
+        return _from_pieces(xi, Fraction(0), osc, Fraction(0), exact=Fraction(0))
+    scale = Fraction(a**r, b ** (2 * r)) / (4 * xi * xi)
+    phase = char_exponent(ctx, -x * xi)
+    return _from_pieces(xi, scale, osc, phase)
 
 
 def coeff_f_ref(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
@@ -424,15 +457,12 @@ def coeff_f_ref(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
     if xi == 0:
-        return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
-                                  exact=Fraction(1, a))
+        return _from_pieces(xi, Fraction(0), None, Fraction(0), exact=Fraction(1, a))
     if (xi * b**r).denominator != 1:
-        return FourierCoefficient(xi, Fraction(0), None, Fraction(0),
-                                  exact=Fraction(0))
+        return _from_pieces(xi, Fraction(0), None, Fraction(0), exact=Fraction(0))
     osc = ctx.alpha_pow(-r) * xi
     if osc.denominator == 1:
-        return FourierCoefficient(xi, Fraction(0), osc, Fraction(0),
-                                  exact=Fraction(0))
+        return _from_pieces(xi, Fraction(0), osc, Fraction(0), exact=Fraction(0))
     factor = complex(1.0)
     for k in range(2, r + 1):
         t_k = char_exponent(ctx, ctx.alpha_pow(-k) * xi)
@@ -442,13 +472,12 @@ def coeff_f_ref(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
             continue
         if (a * t_k).denominator == 1:
             # nontrivial a-th root of unity: the geometric sum is exactly 0
-            return FourierCoefficient(xi, Fraction(0), osc, Fraction(0),
-                                      exact=Fraction(0))
+            return _from_pieces(xi, Fraction(0), osc, Fraction(0), exact=Fraction(0))
         s = sum(cmath.exp(-2j * math.pi * float((e * t_k) % 1)) for e in range(a))
         factor *= s
     scale = Fraction(a**r, b ** (2 * r)) / (4 * xi * xi)
     phase = char_exponent(ctx, -Fraction(d * b, a) * xi)
-    return FourierCoefficient(xi, scale, osc, phase, factor_sum=factor)
+    return _from_pieces(xi, scale, osc, phase, factor_sum=factor)
 
 
 def coeff_f_sum(ctx: AdeleContext, d: int, r: int, xi) -> complex:

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from ratbase import Base
+from helpers import stream_prefix
+
 
 def run_cli(*args, env_extra=None):
     import os
@@ -55,6 +58,26 @@ class TestPatternsCommand:
         r = run_cli("patterns", *BASE32, "--w", "2", "--k", "0", "--N", "10")
         assert r.returncode == 0
         assert r.stdout.strip().endswith("4")
+
+    def test_single_position_goes_to_out(self, tmp_path):
+        out = tmp_path / "o.txt"
+        r = run_cli("patterns", *BASE32, "--w", "2", "--k", "0", "--N", "10",
+                    "--out", str(out))
+        assert r.returncode == 0
+        assert r.stdout == ""
+        assert out.read_text() == "4\n"
+
+    @pytest.mark.parametrize("flags", [
+        ("--padded",),
+        ("--k", "3", "--format", "json"),
+        ("--k", "3", "--horizons", "100,1000"),
+    ], ids=["padded-without-k", "k-with-json", "k-with-horizons"])
+    def test_flags_that_would_be_ignored_are_usage_errors(self, flags):
+        # any count at N = 1e9 overruns a budget of 1 (exit 3): these stop first
+        r = run_cli("patterns", *BASE32, "--w", "2", "--N", "1e9", *flags,
+                    env_extra={"RATBASE_MAX_ENUM": "1"})
+        assert r.returncode == 64
+        assert r.stdout == ""
 
     def test_total(self):
         r = run_cli("patterns", *BASE32, "--w", "2", "--N", "10")
@@ -111,6 +134,11 @@ class TestOtherCommands:
         r = run_cli("stream", *BASE32, "--N", "10")
         assert r.returncode == 0
         assert "2212102122" in r.stdout.replace(" ", "").replace(",", "")
+
+    def test_long_stream_matches_the_word_concatenation(self):
+        r = run_cli("stream", *BASE32, "--N", "200000")
+        assert r.returncode == 0
+        assert r.stdout == "".join(map(str, stream_prefix(Base(3, 2), 200000))) + "\n"
 
     def test_fourier_table(self):
         r = run_cli("fourier", *BASE32, "--r", "1", "--max-xi", "4")

@@ -21,7 +21,8 @@ from ratbase import (
 )
 from ratbase.fourier import _series_coeffs
 from helpers import (ORACLE_BASES, coeff_f_ref, coeff_f_sum, coeff_g_quadrature,
-                     random_rational, urysohn_bruteforce, urysohn_series_ref)
+                     coeff_g_ref, random_rational, urysohn_bruteforce,
+                     urysohn_series_ref)
 
 DENS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 27]
 
@@ -350,6 +351,19 @@ class TestIntegerFourierOracles:
                     got, want = coeff_f(ctx, d, r, xi), coeff_f_ref(ctx, d, r, xi)
                     assert repr(got.value) == repr(want.value), (d, r, xi)
                     assert got.exact == want.exact, (d, r, xi)
+
+    def test_coeff_g_is_bit_equal(self, base):
+        ctx = AdeleContext(base)
+        b = base.b
+        rng = random.Random(f"coeff_g {base}")
+        dens = [1, 7, 11 * 13, base.a, b, b**3, 5 * b**2]
+        for r in range(6):
+            for xi in _oracle_frequencies(base, r, rng):
+                for _ in range(3):
+                    x = Fraction(rng.randint(-10**4, 10**4), rng.choice(dens))
+                    got, want = coeff_g(ctx, x, r, xi), coeff_g_ref(ctx, x, r, xi)
+                    assert repr(got.value) == repr(want.value), (x, r, xi)
+                    assert got.exact == want.exact, (x, r, xi)
 
     def test_exact_zero_iff_a_divides_m(self, base):
         ctx = AdeleContext(base)

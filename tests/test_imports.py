@@ -1,6 +1,7 @@
-"""Imports: every name a library module imports is used in that module, and
-importing ratbase, or running a command that never sweeps, leaves numpy
-unloaded."""
+"""Imports and dead code: every name a library module imports is used in
+that module, every module-level private name is read somewhere in the
+library, and importing ratbase, or running a command that never sweeps,
+leaves numpy unloaded."""
 import ast
 import json
 import os
@@ -43,6 +44,58 @@ def test_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_library_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level names _x (not dunders) that a def, class or assignment
+    binds, with their lines."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def reads(source: str) -> set[str]:
+    """Names an expression reads: loaded variables and attribute names."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """module:name (line n) for each private module-level name that no
+    source reads."""
+    used = set().union(*(reads(text) for text in sources.values()))
+    return sorted(f"{module}:{name} (line {line})"
+                  for module, text in sources.items()
+                  for name, line in private_definitions(text).items()
+                  if name not in used)
+
+
+def test_finds_an_unread_private_name():
+    sources = {"m": "import os\n_A = 1\n_b: int = 2\n__all__ = []\n"
+                    "def _f():\n    return _A\nclass _C:\n    pass\n_d = 3\n",
+               "n": "from m import _b, _d\nprint(m._d)\n"}
+    assert unread_privates(sources) == ["m:_C (line 7)", "m:_b (line 3)",
+                                        "m:_f (line 5)"]
+
+
+def test_library_private_names_are_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_privates(sources) == []
 
 
 def eager_imports(source: str, package: str) -> list[int]:

@@ -71,6 +71,12 @@ class TestSerialization:
             text = format_digits(b32, encode(b32, n).digits)
             assert parse_digits(b32, text) == encode(b32, n).digits
 
+    def test_digits_outside_ten_are_refused_in_ascii(self, b32):
+        assert format_digits(Base(10, 1), tuple(range(10))) == "0123456789"
+        for bad in (10, 200, 255, 256, -1):
+            with pytest.raises(ValueError):
+                format_digits(b32, (1, bad, 0))
+
     def test_wide_alphabet_uses_tuple_form(self):
         b12 = Base(12, 1)
         w = encode(b12, 1511)  # digits 10, 5, 11

@@ -1,4 +1,5 @@
 """Pattern counting: frozen values, engine-vs-scan agreement, stream laws."""
+import itertools
 import json
 import math
 import random
@@ -11,6 +12,8 @@ from hypothesis import given, strategies as st
 
 from ratbase import (
     Base,
+    DigitWord,
+    NotInLanguage,
     Pattern,
     ScaleExceeded,
     asymptotic_report,
@@ -20,12 +23,13 @@ from ratbase import (
     champernowne_prefix_array,
     count_pattern,
     count_pattern_at,
+    decode,
     length,
     report_csv,
     report_json,
     summatory_sod,
 )
-from ratbase.patterns import _residue
+from ratbase.patterns import _residue, _value
 from helpers import (BASES, ORACLE_BASES, low_digit_classes, scan_count,
                      stream_prefix, stream_scan, stream_scan_bulk,
                      stream_word_ends, word_digits)
@@ -92,6 +96,21 @@ def test_residue_matches_digit_scan(base):
                         for _ in range(m)) for _ in range(200)]
         for w in words:
             assert _residue(base, w) == classes[w]
+
+
+@pytest.mark.parametrize("base", [Base(3, 2), Base(5, 3), Base(7, 4), Base(10, 1),
+                                  Base(7, 6)], ids=str)
+def test_value_matches_decode(base):
+    """_value against decode on every word of length <= 5 (<= 4 for a >= 7)."""
+    for m in range(1, 6 if base.a < 7 else 5):
+        for w in itertools.product(range(base.a), repeat=m):
+            want = None
+            if w[0] != 0:
+                try:
+                    want = decode(DigitWord(base, w))
+                except NotInLanguage:
+                    pass
+            assert _value(base, w) == want, w
 
 
 class TestKernelAgainstScan:
