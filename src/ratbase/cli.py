@@ -24,7 +24,7 @@ from .fourier import (coeff_f, coefficient_table, eval_urysohn_direct,
                       eval_urysohn_series, series_tail_bound)
 from .numeration import (Base, DigitWord, NotInLanguage, decode, digit, encode,
                          format_digits, parse_digits)
-from .patterns import (Pattern, asymptotic_report, champernowne_digits,
+from .patterns import (Pattern, asymptotic_report, champernowne_prefix_array,
                        count_pattern, count_pattern_at, report_csv,
                        report_json, summatory_sod)
 from .render import render_tiles, tiles_csv, tiles_svg
@@ -161,7 +161,7 @@ def cmd_sod_sum(args) -> int:
 
 def cmd_stream(args) -> int:
     base = _base_of(args)
-    print(format_digits(base, tuple(champernowne_digits(base, args.N))))
+    print(format_digits(base, champernowne_prefix_array(base, args.N)))
     return EXIT_OK
 
 

@@ -67,13 +67,11 @@ def _chi_residue(ctx: AdeleContext, num: int, den: int) -> tuple[int, int]:
     return -num * pow(den_b, -1, Q) % Q, Q
 
 
-def _closed_form(xi: Fraction, m: int, ar: int, P: int, Q: int,
-                 factor: complex) -> FourierCoefficient:
+def _closed_form(m: int, ar: int, P: int, Q: int, factor: complex) -> complex:
     """a^r / (4 m^2) |1 - e(m / a^r)|^2 / pi^2 e(P / Q) factor at xi = m / b^r."""
     amp = 2.0 - 2.0 * math.cos(2.0 * math.pi * (m % ar / ar))
     unit = cmath.exp(2j * math.pi * (P / Q))
-    value = ar / (4 * m * m) * amp / math.pi**2 * unit * factor
-    return FourierCoefficient(xi, value, None)
+    return ar / (4 * m * m) * amp / math.pi**2 * unit * factor
 
 
 def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
@@ -89,7 +87,7 @@ def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
         q = Fraction(1, ar) if xi == 0 else Fraction(0)
         return FourierCoefficient(xi, complex(q), q)
     P, Q = _chi_residue(ctx, -x.numerator * xi.numerator, x.denominator * xi.denominator)
-    return _closed_form(xi, m, ar, P, Q, complex(1.0))
+    return FourierCoefficient(xi, _closed_form(m, ar, P, Q, complex(1.0)), None)
 
 
 def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
@@ -116,6 +114,16 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
     if m is None or m % a == 0:
         q = Fraction(1, a) if xi == 0 else Fraction(0)
         return FourierCoefficient(xi, complex(q), q)
+    return FourierCoefficient(xi, _f_value(ctx, d, r, m), None)
+
+
+def _f_value(ctx: AdeleContext, d: int, r: int, m: int) -> complex:
+    """The value of c'_{d,r,m/b^r} for an integer m >= 0."""
+    a, b = ctx.base.a, ctx.base.b
+    if not 0 <= d < a:
+        raise ValueError(f"digit {d} outside alphabet")
+    if r == 0 or m % a == 0:
+        return complex(1 / a) if m == 0 else 0j
     ar = a**r
     w = -m * pow(b, -r, ar) % ar  # t_k = (w b^k mod a^k) / a^k
     factor = complex(1.0)
@@ -124,7 +132,7 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
         ak, bk = ak * a, bk * b
         c = w * bk % ak
         factor *= sum(cmath.exp(-2j * math.pi * ((e * c % ak) / ak)) for e in range(a))
-    return _closed_form(xi, m, ar, -d * w * b % a, a, factor)
+    return _closed_form(m, ar, -d * w * b % a, a, factor)
 
 
 def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
@@ -143,10 +151,9 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
             raise ValueError(f"digit {d} outside alphabet")
     _check_budget(len(digits) * (max_m + 1))
     lines = ["xi_numerator,r,digit,re,im,abs"]
-    br = ctx.base.b**r
     for d in digits:
         for m in range(0, max_m + 1):
-            v = coeff_f(ctx, d, r, Fraction(m, br)).value
+            v = _f_value(ctx, d, r, m)
             lines.append(f"{m},{r},{d},{v.real!r},{v.imag!r},{abs(v)!r}")
     return "\n".join(lines) + "\n"
 
@@ -238,9 +245,7 @@ class _SeriesCache:
             return got
         _check_budget(cutoff)
         self.misses += 1
-        br = ctx.base.b**r
-        values = ((m, coeff_f(ctx, d, r, Fraction(m, br)).value)
-                  for m in range(1, cutoff + 1))
+        values = ((m, _f_value(ctx, d, r, m)) for m in range(1, cutoff + 1))
         got = self.lists[key] = tuple((m, c) for m, c in values if c != 0)
         self.pairs += len(got)
         cap = max_enum()

@@ -105,7 +105,7 @@ class DigitWord:
 _DIGIT_CHARS = b"0123456789" + b"\xff" * 246
 
 
-def format_digits(base: Base, digits: tuple[int, ...]) -> str:
+def format_digits(base: Base, digits: Sequence[int]) -> str:
     """Serialize digits: plain ASCII when a <= 10, else "(d,d,...)".
 
     In the ASCII form a digit outside 0..9 is a ValueError.

@@ -18,10 +18,12 @@ Israel J. Math. 168, 2008):
   [lo_k(q), lo_k(q + 1)) with lo(q) = ceil(a q / b).
 - lo_k(q + b^k) = lo_k(q) + a^k: interval sizes repeat with period b^k.
 
-A count is then whole periods times a^k plus fewer than b^k interval sizes
-summed directly, about N^(log b / log a) steps over all positions; b = 1
-costs O(log N).  The RATBASE_MAX_ENUM budget is charged that leftover sweep
-length, not N.
+A count is then whole periods times a^k plus left_k < b^k interval sizes
+summed directly, about N^(log b / log a) terms over all positions; b = 1
+costs O(log N).  The positions of a count sweep prefixes of one progression
+of q, so each leftover term is walked up the tree once, to the deepest
+position that sums it: sum_j max_(i>=j) left_i steps, not sum_k k left_k.
+The RATBASE_MAX_ENUM budget is charged the sweep length sum_k left_k, not N.
 
 The stream z_1 z_2 z_3 ... concatenates the words of 1, 2, 3, ... in print
 order.  gamma_w(x) counts positions n <= x with (z_{n+|w|-1}, ..., z_n) = w,
@@ -35,7 +37,7 @@ under the default budget.  Only the paths that print digits build a stream
 prefix, one band of equal-length words at a time on the same T(n) tree,
 and they are charged its length.
 
-numpy is imported by the long leftover sweeps and the prefix builder, at
+numpy is imported by the long leftover walks and the prefix builder, at
 their first call, so importing ratbase does not load it.
 """
 
@@ -112,29 +114,52 @@ def _residue(base: Base, w_lsf: Sequence[int]) -> int:
 
 
 def _lo(a: int, b: int, q, k: int):
-    """lo_k(q), the least n with T^k(n) >= q; q is an int or an int64 array."""
+    """lo_k(q), the least n with T^k(n) >= q."""
     for _ in range(k):
         q = -(-a * q // b)
     return q
 
 
-def _interval_sizes(a: int, b: int, k: int, first: int, step: int, count: int,
-                    N: int) -> int:
-    """Sum of |{n : T^k(n) = q}| over q = first + step*t, 0 <= t < count.
+def _family_sums(a: int, b: int, first: int, step: int, lefts: dict[int, int],
+                 N: int) -> list[int]:
+    """List by j of sum_(t < lefts[j]) |{n : T^j(n) = q_t}|, q_t = first + step*t.
 
-    Every q here lies below T^k(N), so every lo_k value stays <= N and the
-    sweep fits int64 whenever a*N does.  Short sweeps and huge N use Python
-    integers; long ones run on numpy blocks, and only they import numpy.
+    lo_(j+1) = lo(lo_j): q_t and q_t + 1 are walked up once, to the deepest
+    D with lefts[D] > t, where q_t < T^D(N); so every value kept is at most
+    N, and the walk fits int64 whenever a*N does.  Short sweeps and huge N
+    use Python integers; long ones use numpy blocks, each walked as deep as
+    its first term needs, and only they import numpy.
     """
-    if count < _VECTOR_MIN or a * N > _INT64_MAX:
-        return sum(_lo(a, b, q + 1, k) - _lo(a, b, q, k)
-                   for q in range(first, first + step * count, step))
+    lefts = [lefts.get(j, 0) for j in range(max(lefts) + 1)]
+    width = list(itertools.accumulate(lefts[::-1], max))[::-1]  # max_(i>=j) lefts[i]
+    sums = [0] * len(lefts)
+    if width[0] < _VECTOR_MIN or a * N > _INT64_MAX:
+        for t in range(width[0]):
+            lo, hi = first + step * t, first + step * t + 1
+            for j, w in enumerate(width):
+                if w <= t:
+                    break
+                if lefts[j] > t:
+                    sums[j] += hi - lo
+                lo, hi = -(-a * lo // b), -(-a * hi // b)
+        return sums
     import numpy as np
-    total = 0
-    for start in range(0, count, _BLOCK):
-        q = first + step * np.arange(start, min(start + _BLOCK, count), dtype=np.int64)
-        total += int(_lo(a, b, q + 1, k).sum() - _lo(a, b, q, k).sum())
-    return total
+    for start in range(0, width[0], _BLOCK):
+        stop = min(start + _BLOCK, width[0])
+        lo = np.arange(first + step * start, first + step * stop, step, dtype=np.int64)
+        hi = lo + 1
+        for j, w in enumerate(width):
+            if w <= start:
+                break
+            lo, hi = lo[:w - start], hi[:w - start]
+            if lefts[j] > start:
+                n = lefts[j] - start
+                sums[j] += int(hi[:n].sum() - lo[:n].sum())
+            for q in (lo, hi):  # q = lo(q), in place
+                q *= -a
+                q //= b
+                np.negative(q, out=q)
+    return sums
 
 
 def _progression_counts(base: Base, jobs: Sequence[tuple[int, int]], step: int,
@@ -146,7 +171,8 @@ def _progression_counts(base: Base, jobs: Sequence[tuple[int, int]], step: int,
     gcd(step, b) = 1, every b^k consecutive progression terms make one
     period.  Fewer than b^k leftover terms are summed directly, q = Q adds
     the part of its interval up to N, and n = 0 sits in the interval of q = 0.
-    The leftover sweep lengths are charged to the budget before any runs.
+    Jobs with one first term share one walk.  The leftover sweep lengths,
+    not the walk steps, are charged to the budget before any runs.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -154,16 +180,20 @@ def _progression_counts(base: Base, jobs: Sequence[tuple[int, int]], step: int,
     orbit = [N]  # T^k(N) down to the first zero
     while orbit[-1]:
         orbit.append(b * orbit[-1] // a)
-    plans = []
+    plans, lefts = [], {}  # lefts: per first term, left by position
     for k, first in jobs:
         Q = orbit[k] if k < len(orbit) else 0
         below = -(-(Q - first) // step) if Q > first else 0
         full, left = divmod(below, b ** k) if below else (0, 0)
         plans.append((k, first, Q, full, left))
+        if left:
+            lefts.setdefault(first, {})[k] = left
     _check_budget(sum(plan[-1] for plan in plans))
+    sums = {first: _family_sums(a, b, first, step, row, N)
+            for first, row in lefts.items()}
     counts = []
     for k, first, Q, full, left in plans:
-        c = _interval_sizes(a, b, k, first, step, left, N)
+        c = sums[first][k] if left else 0
         if full:
             c += full * a ** k
         if Q >= first and (Q - first) % step == 0:

@@ -15,7 +15,9 @@ coeff_g, tile_corners and the stream's prefix builder.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -69,6 +71,25 @@ def scan_count(base: Base, word_msf, k: int, N: int, padded: bool = False) -> in
         if all(digit(base, n, k + m - 1 - i) == w[i] for i in range(m)):
             hits += 1
     return hits
+
+
+def residue_class_count(base: Base, word_msf, k: int, N: int) -> int:
+    """S'_{k,w}(N) from one period of n: the padded digits k..k+m-1 of n
+    depend only on n mod P = a^(k+m), so 0..N holds floor((N+1)/P) whole
+    periods and one partial one, each counted with digit() over n < P.
+    Costs P * m digit reads (cached per window and position), whatever N."""
+    w = tuple(word_msf)
+    hits = _period_hits(base, w, k)
+    whole, part = divmod(N + 1, base.a ** (k + len(w)))
+    return whole * len(hits) + bisect.bisect_left(hits, part) - (not any(w))
+
+
+@functools.lru_cache(maxsize=None)
+def _period_hits(base: Base, w: tuple[int, ...], k: int) -> list[int]:
+    """The n < a^(k+|w|) whose padded digits k..k+|w|-1 spell w, ascending."""
+    m = len(w)
+    return [n for n in range(base.a ** (k + m))
+            if all(digit(base, n, k + m - 1 - i) == w[i] for i in range(m))]
 
 
 def low_digit_classes(base: Base, m: int) -> dict[tuple[int, ...], int]:

@@ -140,6 +140,14 @@ class TestOtherCommands:
         assert r.returncode == 0
         assert r.stdout == "".join(map(str, stream_prefix(Base(3, 2), 200000))) + "\n"
 
+    def test_wide_alphabet_stream_prints_the_tuple_form(self):
+        # a > 10 prints "(d,d,...)", digits 10 and up included
+        r = run_cli("stream", "--a", "11", "--b", "2", "--N", "2000")
+        assert r.returncode == 0
+        want = stream_prefix(Base(11, 2), 2000)
+        assert max(want) == 10
+        assert r.stdout == "(" + ",".join(map(str, want)) + ")\n"
+
     def test_fourier_table(self):
         r = run_cli("fourier", *BASE32, "--r", "1", "--max-xi", "4")
         assert r.returncode == 0

@@ -29,9 +29,9 @@ from ratbase import (
     report_json,
     summatory_sod,
 )
-from ratbase.patterns import _residue, _value
-from helpers import (BASES, ORACLE_BASES, low_digit_classes, scan_count,
-                     stream_prefix, stream_scan, stream_scan_bulk,
+from ratbase.patterns import _progression_counts, _residue, _value
+from helpers import (BASES, ORACLE_BASES, low_digit_classes, residue_class_count,
+                     scan_count, stream_prefix, stream_scan, stream_scan_bulk,
                      stream_word_ends, word_digits)
 
 KERNEL_BASES = [Base(3, 2), Base(5, 2), Base(10, 1)]
@@ -226,6 +226,103 @@ class TestBeyondInt64:
         N = 10**9
         assert sum(count_pattern_at(b32, Pattern(b32, (d,)), 3, N, padded=True)
                    for d in range(3)) == N
+
+
+# horizons for the residue-class oracle, from n = 0 to far past int64
+RESIDUE_NS = [0, 1, 2, 40, 3001, 10**6 + 3, 10**9 + 7, 2**63 + 5, 10**30 + 12345]
+
+
+def _oracle_windows(base):
+    """(w, k) whose period a^(k+|w|) is at most 20000: every digit, and three
+    two-digit windows, at every such position."""
+    top = next(K for K in itertools.count() if base.a ** (K + 1) > 20000)
+    words = [(d,) for d in range(base.a)] + [(base.a - 1, 1), (0, 0), (1, 0)]
+    return [(w, k) for w in words for k in range(top - len(w) + 1)]
+
+
+@pytest.mark.parametrize("base", BASES, ids=str)
+class TestResidueClassOracle:
+    """Padded counts against one period of digit reads, at every horizon."""
+
+    def test_count_pattern_at(self, base):
+        for w, k in _oracle_windows(base):
+            for N in RESIDUE_NS:
+                assert count_pattern_at(base, Pattern(base, w), k, N, padded=True) == \
+                    residue_class_count(base, w, k, N), (w, k, N)
+
+    def test_count_pattern(self, base):
+        # every position in one call; far horizons only where b = 1 keeps
+        # the sweep inside the default budget
+        Ns = RESIDUE_NS if base.b == 1 else RESIDUE_NS[:-2]
+        windows = _oracle_windows(base)
+        for w in dict.fromkeys(w for w, _ in windows):
+            for N in Ns:
+                stats = count_pattern(base, Pattern(base, w), N)
+                for v, k in windows:
+                    if v == w and k in stats.padded_per_position:
+                        assert stats.padded_per_position[k] == \
+                            residue_class_count(base, w, k, N), (w, k, N)
+
+    def test_summatory_sod_slice(self, base):
+        # summatory_sod's jobs at the positions the oracle reaches, in one call
+        jobs = [(k, w[0]) for w, k in _oracle_windows(base) if len(w) == 1 and w[0]]
+        for N in RESIDUE_NS:
+            got = _progression_counts(base, [(k, _residue(base, (d,))) for k, d in jobs],
+                                      base.a, N)
+            assert got == [residue_class_count(base, (d,), k, N) for k, d in jobs], N
+
+
+class TestDigitExtension:
+    """Every count splits over the digit one below or one above the window,
+    S'_{k,w} = sum_d S'_{k-1,(w,d)} = sum_d S'_{k,(d,w)}, at every position
+    and on long numpy walks; the first 3/2 line is frozen."""
+
+    @pytest.mark.parametrize("a,b,w,N", [(3, 2, (2, 1), 10**11),
+                                         (7, 6, (3, 4), 2 * 10**8)],  # near the cap
+                             ids=["3_2", "7_6"])
+    def test_windows_split_over_one_more_digit(self, a, b, w, N):
+        base = Base(a, b)
+        stats = count_pattern(base, Pattern(base, w), N)
+        lower = [count_pattern(base, Pattern(base, w + (d,)), N) for d in range(a)]
+        upper = [count_pattern(base, Pattern(base, (d,) + w), N) for d in range(a)]
+        for k, c in stats.padded_per_position.items():
+            assert c == sum(s.padded_per_position[k] for s in upper), k
+            if k:
+                assert c == sum(s.padded_per_position[k - 1] for s in lower), k
+        for k, c in stats.per_position.items():
+            if k:
+                assert c == sum(s.per_position[k - 1] for s in lower), k
+        if a == 3:
+            assert stats.padded_per_position[20] == 11111110219
+            assert stats.total == 707936694427
+
+    @pytest.mark.parametrize("a,b,x", [(3, 2, 10**9), (7, 6, 10**7)], ids=["3_2", "7_6"])
+    def test_stream_windows_cover_every_position(self, a, b, x):
+        base = Base(a, b)
+        for m in (1, 2):
+            words = [Pattern(base, w) for w in itertools.product(range(a), repeat=m)]
+            counts = champernowne_freq_bulk(base, words, [x])
+            assert sum(c for c, in counts.values()) == x, m
+
+
+class TestBudgetCharges:
+    """The charge is the leftover sweep length, frozen before the sweeps of
+    one count shared a walk; the walk must not move it."""
+
+    @pytest.fixture(autouse=True)
+    def default_cap(self, monkeypatch):
+        monkeypatch.delenv("RATBASE_MAX_ENUM", raising=False)
+
+    @pytest.mark.parametrize("a,b,N,charge", [(3, 2, 10**11, 21137942),
+                                              (7, 6, 4 * 10**7, 71716583)],
+                             ids=["3_2", "7_6"])
+    def test_summatory_sod_charge(self, a, b, N, charge):
+        with pytest.raises(ScaleExceeded) as err:
+            summatory_sod(Base(a, b), N)
+        assert str(err.value) == f"enumeration of {charge} objects exceeds cap 10000000"
+
+    def test_single_digit_count_fits_the_default_cap(self, b32):
+        assert count_pattern(b32, Pattern(b32, (1,)), 10**9).total == 16063676278
 
 
 class TestCountingIdentities:
