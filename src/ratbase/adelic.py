@@ -334,18 +334,21 @@ def membership_point(ctx: AdeleContext, n: int, k: int) -> Fraction:
 
 
 def classify_digit(ctx: AdeleContext, n: int, k: int, r: int,
-                   tube: "BoundaryTube | None" = None) -> int:
+                   tubes: "Mapping[int, BoundaryTube] | None" = None) -> int:
     """Digit eps_k(n) read off geometrically from the level-r box location.
 
-    With a boundary tube supplied, a hit inside the tube for the located
-    digit raises BoundaryAmbiguous: the level-r classification cannot be
-    trusted there and the caller should raise r.
+    With the level-r tubes supplied (the mapping boundary_tubes returns), a
+    box inside the tube of its own digit raises BoundaryAmbiguous: the
+    level-r read cannot be trusted there and the caller should raise r.
     """
-    q = membership_point(ctx, n, k)
-    loc = locate_box(ctx, q, r)
-    if tube is not None and loc.digit == tube.digit and loc.canonical_corner in tube.members:
-        raise BoundaryAmbiguous(
-            f"point for (n={n}, k={k}) lies in the level-{r} boundary tube")
+    loc = locate_box(ctx, membership_point(ctx, n, k), r)
+    if tubes is not None:
+        tube = tubes[loc.digit]
+        if tube.level != r:
+            raise ValueError(f"level-{tube.level} tubes for a level-{r} read")
+        if loc.canonical_corner in tube.members:
+            raise BoundaryAmbiguous(
+                f"point for (n={n}, k={k}) lies in the level-{r} boundary tube")
     return loc.digit
 
 

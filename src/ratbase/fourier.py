@@ -118,10 +118,8 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
 
 
 def _f_value(ctx: AdeleContext, d: int, r: int, m: int) -> complex:
-    """The value of c'_{d,r,m/b^r} for an integer m >= 0."""
+    """c'_{d,r,m/b^r} for an integer m >= 0; callers check the digit d."""
     a, b = ctx.base.a, ctx.base.b
-    if not 0 <= d < a:
-        raise ValueError(f"digit {d} outside alphabet")
     if r == 0 or m % a == 0:
         return complex(1 / a) if m == 0 else 0j
     ar = a**r
@@ -269,12 +267,14 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
     series_tail_bound.  The character of m z / b^r is e(m P / Q), with
     chi~(z / b^r) = e(P / Q) read as an integer residue.
     """
+    a, b = ctx.base.a, ctx.base.b
+    if not 0 <= d < a:
+        raise ValueError(f"digit {d} outside alphabet")
     if r < 0:
         raise ValueError("level must be >= 0")
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
     z = Fraction(z)
-    a, b = ctx.base.a, ctx.base.b
     pairs = _series_coeffs(ctx, d, r, cutoff)
     P, Q = _chi_residue(ctx, z.numerator, z.denominator * b**r)
     total = 1.0 / a

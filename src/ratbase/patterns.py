@@ -37,8 +37,9 @@ under the default budget.  Only the paths that print digits build a stream
 prefix, one band of equal-length words at a time on the same T(n) tree,
 and they are charged its length.
 
-numpy is imported by the long leftover walks and the prefix builder, at
-their first call, so importing ratbase does not load it.
+numpy is imported by the leftover walks of 32 or more terms, at any N (in
+int64 while a*N fits, Python integers beyond), and by the prefix builder,
+at their first call, so importing ratbase does not load it.
 """
 
 from __future__ import annotations
@@ -126,14 +127,14 @@ def _family_sums(a: int, b: int, first: int, step: int, lefts: dict[int, int],
 
     lo_(j+1) = lo(lo_j): q_t and q_t + 1 are walked up once, to the deepest
     D with lefts[D] > t, where q_t < T^D(N); so every value kept is at most
-    N, and the walk fits int64 whenever a*N does.  Short sweeps and huge N
-    use Python integers; long ones use numpy blocks, each walked as deep as
-    its first term needs, and only they import numpy.
+    N.  Sweeps under _VECTOR_MIN terms use Python integers; longer ones use
+    numpy blocks, each walked as deep as its first term needs, of int64
+    while a*N fits and of Python integers (dtype object) beyond.
     """
     lefts = [lefts.get(j, 0) for j in range(max(lefts) + 1)]
     width = list(itertools.accumulate(lefts[::-1], max))[::-1]  # max_(i>=j) lefts[i]
     sums = [0] * len(lefts)
-    if width[0] < _VECTOR_MIN or a * N > _INT64_MAX:
+    if width[0] < _VECTOR_MIN:
         for t in range(width[0]):
             lo, hi = first + step * t, first + step * t + 1
             for j, w in enumerate(width):
@@ -144,9 +145,10 @@ def _family_sums(a: int, b: int, first: int, step: int, lefts: dict[int, int],
                 lo, hi = -(-a * lo // b), -(-a * hi // b)
         return sums
     import numpy as np
+    dtype = np.int64 if a * N <= _INT64_MAX else object
     for start in range(0, width[0], _BLOCK):
         stop = min(start + _BLOCK, width[0])
-        lo = np.arange(first + step * start, first + step * stop, step, dtype=np.int64)
+        lo = np.arange(first + step * start, first + step * stop, step, dtype=dtype)
         hi = lo + 1
         for j, w in enumerate(width):
             if w <= start:
@@ -154,7 +156,7 @@ def _family_sums(a: int, b: int, first: int, step: int, lefts: dict[int, int],
             lo, hi = lo[:w - start], hi[:w - start]
             if lefts[j] > start:
                 n = lefts[j] - start
-                sums[j] += int(hi[:n].sum() - lo[:n].sum())
+                sums[j] += int((hi[:n] - lo[:n]).sum())
             for q in (lo, hi):  # q = lo(q), in place
                 q *= -a
                 q //= b

@@ -308,18 +308,27 @@ class TestClassification:
         # 4/3 lies in the closure of two tiles, so every level keeps it flagged
         for r in (2, 3, 4):
             tubes = boundary_tubes(ctx32, r, r + 3)
-            loc = locate_box(ctx32, membership_point(ctx32, 1, 0), r)
             with pytest.raises(BoundaryAmbiguous):
-                classify_digit(ctx32, 1, 0, r, tube=tubes[loc.digit])
+                classify_digit(ctx32, 1, 0, r, tubes)
+
+    def test_a_wrong_read_in_its_own_digits_tube_is_ambiguous(self, ctx32):
+        # eps_2(7) = 1, but the level-2 box of its point carries digit 0;
+        # that box lies in the digit-0 tube, so the read is refused
+        assert classify_digit(ctx32, 7, 2, 2) == 0 != digit(ctx32.base, 7, 2)
+        with pytest.raises(BoundaryAmbiguous):
+            classify_digit(ctx32, 7, 2, 2, boundary_tubes(ctx32, 2, 5))
+
+    def test_tubes_of_another_level_are_refused(self, ctx32):
+        with pytest.raises(ValueError, match="level-3 tubes for a level-2 read"):
+            classify_digit(ctx32, 7, 2, 2, boundary_tubes(ctx32, 3, 4))
 
     def test_resolved_reads_are_sound(self, ctx32):
         tubes = boundary_tubes(ctx32, 5, 8)
         resolved = ambiguous = 0
         for n in range(1, 201):
             for k in range(length(ctx32.base, n)):
-                loc = locate_box(ctx32, membership_point(ctx32, n, k), 5)
                 try:
-                    d = classify_digit(ctx32, n, k, 5, tube=tubes[loc.digit])
+                    d = classify_digit(ctx32, n, k, 5, tubes)
                 except BoundaryAmbiguous:
                     ambiguous += 1
                     continue
@@ -584,3 +593,20 @@ def test_level_zero_is_valid(ctx32):
     assert fiber_interval(ctx32, Fraction(1, 2), 0) == (2, 4)
     assert fiber_interval(ctx32, Fraction(1, 2), 1) == (3, 4)
     assert fiber_interval(ctx32, Fraction(1, 2), 0, "p-adic-digits") == (1, 2)
+
+
+# argument checks that no other test reaches
+BAD_ARGUMENT_CALLS = {
+    "tile_corners_digit": (lambda ctx: tile_corners(ctx, 3, 2), "outside alphabet"),
+    "tile_corners_level": (lambda ctx: tile_corners(ctx, 0, 0), "level must be >= 1"),
+    "boundary_tubes_resolution": (lambda ctx: boundary_tubes(ctx, 3, 3),
+                                  "resolution must exceed"),
+    "point_missing_a_prime": (lambda ctx: locate_box(ctx, AdelePoint(Fraction(1), {}), 2),
+                              "missing component at p = 2"),
+}
+
+
+@pytest.mark.parametrize("call,message", BAD_ARGUMENT_CALLS.values(), ids=BAD_ARGUMENT_CALLS)
+def test_bad_arguments_are_value_errors(call, message, ctx32):
+    with pytest.raises(ValueError, match=message):
+        call(ctx32)

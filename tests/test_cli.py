@@ -52,6 +52,10 @@ class TestEncodeDecode:
         r = run_cli("decode", *BASE32, "9x")
         assert r.returncode == 2
 
+    def test_decode_rejects_a_leading_zero_as_not_in_language(self):
+        r = run_cli("decode", *BASE32, "012")
+        assert r.returncode == 2
+
 
 class TestPatternsCommand:
     def test_single_position(self):
@@ -259,6 +263,11 @@ class TestExitCodes:
     def test_usage_error_on_bad_base(self):
         assert run_cli("encode", "--a", "4", "--b", "2", "5").returncode == 64
 
+    def test_decode_with_a_bad_base_is_a_usage_error(self):
+        r = run_cli("decode", "--a", "2", "--b", "2", "1")
+        assert r.returncode == 64
+        assert "need a > b >= 1" in r.stderr
+
     def test_usage_error_on_missing_argument(self):
         assert run_cli("encode", *BASE32).returncode == 64
 
@@ -267,3 +276,24 @@ class TestExitCodes:
 
     def test_usage_error_on_malformed_pattern(self):
         assert run_cli("patterns", *BASE32, "--w", "9", "--N", "10").returncode == 64
+
+
+class TestInProcess:
+    def test_repeated_calls_match_fresh_processes(self, capsys, monkeypatch):
+        # main keeps its parser between calls; each call must still behave
+        # as the first call of a new process does
+        from ratbase import cli
+        monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the width
+        calls = [("encode", "--a", "4", "--b", "2", "5"),
+                 ("encode", *BASE32, "7"),
+                 ("sod-sum", "--a", "10", "--b", "1", "--N", "10")]
+        for argv in calls:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            got = capsys.readouterr()
+            fresh = run_cli(*argv, env_extra={"COLUMNS": "80"})
+            assert (code, got.out, got.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert code == 0 and got.out == "46\n"

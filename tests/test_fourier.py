@@ -301,6 +301,11 @@ class TestBudget:
         with pytest.raises(ValueError):
             coefficient_table(ctx32, [0, 3], 2, 5000)
 
+    def test_series_checks_its_digit_before_its_charge(self, ctx32, monkeypatch):
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "10")
+        with pytest.raises(ValueError, match="outside alphabet"):
+            eval_urysohn_series(ctx32, 7, 2, Fraction(1, 3), cutoff=100)
+
     def test_series_is_charged_its_cutoff(self, ctx32, monkeypatch):
         monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
         with pytest.raises(ScaleExceeded):

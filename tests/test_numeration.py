@@ -40,6 +40,11 @@ class TestBaseValidation:
         with pytest.raises(ValueError):
             Base(a, b)
 
+    @pytest.mark.parametrize("a,b", [(3.0, 2), (3, Fraction(2)), ("3", 2)])
+    def test_rejects_non_integer_parts(self, a, b):
+        with pytest.raises(TypeError, match="integers"):
+            Base(a, b)
+
     def test_alpha(self, b32):
         assert b32.alpha == Fraction(3, 2)
 
@@ -135,6 +140,14 @@ class TestValueAndDecode:
 
 
 class TestDigitAccess:
+    @pytest.mark.parametrize("call", [lambda b: encode(b, -1), lambda b: digit(b, -1, 0),
+                                      lambda b: digit(b, 5, -1), lambda b: length(b, -1),
+                                      lambda b: sum_of_digits(b, -1)],
+                             ids=["encode", "digit_n", "digit_k", "length", "sum_of_digits"])
+    def test_negative_arguments_are_refused(self, b32, call):
+        with pytest.raises(ValueError, match="nonnegative|n >= 0"):
+            call(b32)
+
     @given(bases_st, st.integers(min_value=1, max_value=10**5),
            st.integers(min_value=0, max_value=60))
     def test_digit_agrees_with_word(self, base, n, k):

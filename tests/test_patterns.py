@@ -51,6 +51,12 @@ class TestPatternType:
         with pytest.raises(ValueError):
             Pattern(b32, ())
 
+    def test_single_position_refuses_negative_k_and_n(self, b32):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            count_pattern_at(b32, Pattern(b32, (1,)), -1, 10)
+        with pytest.raises(ValueError, match="N must be nonnegative"):
+            count_pattern_at(b32, Pattern(b32, (1,)), 0, -1)
+
 
 class TestFrozenCounts:
     def test_single_digit_at_position_zero(self, b32):
@@ -220,6 +226,21 @@ class TestBeyondInt64:
         for k in (ell - 12, ell - 1, ell, ell + 3):
             assert sum(count_pattern_at(b32, Pattern(b32, (d,)), k, N, padded=True)
                        for d in range(3)) == N
+
+    def test_int64_blocks_do_not_overflow(self):
+        # a*N fits int64, but a block's sum of 2^16 terms near N does not
+        b112 = Base(11, 2)
+        N = 8 * 10**17
+        assert summatory_sod(b112, N) == 95579071283994289884
+        assert count_pattern(b112, Pattern(b112, (1,)), N).total == 1794410494729627512
+
+    def test_long_sweeps_past_int64(self):
+        # a*N > 2^63 with sweeps of 32 or more terms, frozen from a walk of
+        # one term at a time on Python integers
+        b312 = Base(31, 2)
+        N = 10**18
+        assert 31 * N > 2**63
+        assert summatory_sod(b312, N) == 222888982492998334087
 
     def test_budget_charges_the_sweep_not_n(self, b32, monkeypatch):
         monkeypatch.setenv("RATBASE_MAX_ENUM", str(10**6))
