@@ -13,7 +13,11 @@ is X / a^r, X = b H(e_1..e_r) = sum_k e_k b^k a^(r-k) (H from numeration),
 and its class mod Z[1/b] is X b^(-r) mod a^r, from which the residues peel
 off again (see _peel).  Point location (lattice reduction is its level 0),
 tile corners, boundary tubes and fiber intervals work on such numerators
-over a^r and b-powers and build one Fraction per returned value.
+over a^r and b-powers and build one Fraction per returned value.  One
+integer core, _box, locates every point: it reads a scalar's numerator and
+denominator directly and an AdelePoint's coordinates place by place, and
+serves locate_box, the cross-multiplied containment check of cover_census,
+the digit reads and the smoothed tile values in fourier.
 
 Level-r boxes are translates of D_r = alpha^(-r) D_0: a box with corner c in
 alpha^(-r) Z[1/b] is the product of the real interval [c, c + alpha^(-r)]
@@ -27,6 +31,7 @@ level-r approximation of the self-affine tile attached to digit d.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -176,11 +181,12 @@ def reduce_mod_lattice(ctx: AdeleContext, z) -> tuple[Fraction, AdelePoint]:
     y is the corner of the level-0 box holding z: the one y in Z[1/b] with
     z_oo - y in [0,1) and z_p - y p-integral for each p | b.
     """
-    z = _as_point(ctx, z)
-    y = locate_box(ctx, z, 0).corner
+    x, xs = _coordinates(ctx, z)
+    y, q, _ = _box(ctx, z, 0)
+    y = Fraction(y, q)
     res = AdelePoint(
-        real=z.real - y,
-        padic={p: z.padic[p] - y for p, _ in ctx.primes},
+        real=x - y,
+        padic={p: xp - y for (p, _), xp in zip(ctx.primes, xs)},
     )
     return y, res
 
@@ -245,37 +251,64 @@ class BoxLocation:
         return self.corner - self.translate
 
 
+def _coordinates(ctx: AdeleContext, z) -> tuple:
+    """z's real coordinate and its p-adic ones in the order of ctx.primes.
+
+    A scalar is read once, as a rational, and serves every place; an
+    AdelePoint's coordinates must be rationals, one for each p | b.
+    """
+    if not isinstance(z, AdelePoint):
+        x = z if isinstance(z, (int, Fraction)) else Fraction(z)
+        return x, (x,) * len(ctx.primes)
+    padic = _as_point(ctx, z).padic
+    for p, _ in ctx.primes:
+        if not isinstance(padic[p], numbers.Rational):
+            raise TypeError(f"coordinate at p = {p} is not rational: {padic[p]!r}")
+    if not isinstance(z.real, numbers.Rational):
+        raise TypeError(f"real coordinate is not rational: {z.real!r}")
+    return z.real, tuple(padic[p] for p, _ in ctx.primes)
+
+
+def _box(ctx: AdeleContext, z, r: int) -> tuple[int, int, int]:
+    """(y, q, u) for the level-r box holding z under the half-open convention.
+
+    The box's corner is y b^r / (q a^r), for a b-power q, and u = y q^(-1)
+    mod a^r is its class, from which _peel reads the residues.
+
+    With z scaled by alpha^r, the sum of the p-adic fractional parts is
+    t / q; the scaled corner is y / q with y = t + q floor(alpha^r z_oo - t / q).
+    """
+    x, xs = _coordinates(ctx, z)
+    a, b = ctx.base.a, ctx.base.b
+    ar, br = a**r, b**r
+    t, q = 0, 1
+    for (p, e), x_p in zip(ctx.primes, xs):
+        # lambda_p(alpha^r z_p) = tp / pm, pm the p-part of its denominator
+        den, pe = x_p.denominator, p ** (e * r)
+        pm = pe
+        while den % p == 0:
+            den //= p
+            pm *= p
+        tp = x_p.numerator * ar * pow(den * (br // pe), -1, pm) % pm
+        t, q = t * pm + tp * q, q * pm
+    yd = x.denominator * br
+    y = t + (x.numerator * ar * q - t * yd) // (yd * q) * q
+    return y, q, y * pow(q, -1, ar) % ar
+
+
 def locate_box(ctx: AdeleContext, z, r: int) -> BoxLocation:
     """The level-r box containing z under the half-open convention.
 
     The corner c satisfies z_oo - c in [0, alpha^(-r)) and
     v_p(z_p - c) >= r v_p(b) for each p; points on a shared face belong to
     the box on their right.
-
-    With z scaled by alpha^r, the sum of the p-adic fractional parts is
-    t / q for a b-power q; the scaled corner is y / q with
-    y = t + q floor(alpha^r z_oo - t / q), and the corner is y b^r / (q a^r).
     """
     if r < 0:
         raise ValueError("level must be >= 0")
-    z = _as_point(ctx, z)
+    y, q, u = _box(ctx, z, r)
     a, b = ctx.base.a, ctx.base.b
     ar, br = a**r, b**r
-    t, q = 0, 1
-    for p, e in ctx.primes:
-        # lambda_p(alpha^r z_p) = tp / pm, pm the p-part of its denominator
-        x = z.padic[p]
-        den, pe = x.denominator, p ** (e * r)
-        pm = pe
-        while den % p == 0:
-            den //= p
-            pm *= p
-        tp = x.numerator * ar * pow(den * (br // pe), -1, pm) % pm
-        t, q = t * pm + tp * q, q * pm
-    x = z.real
-    yd = x.denominator * br
-    y = t + (x.numerator * ar * q - t * yd) // (yd * q) * q
-    residues = _peel(a, b, y * pow(q, -1, ar) % ar, r)
+    residues = _peel(a, b, u, r)
     c = b * _horner(a, b, residues)
     return BoxLocation(level=r, corner=Fraction(y * br, q * ar), residues=residues,
                        translate=Fraction((y * br - c * q) // ar, q))
@@ -333,6 +366,15 @@ def membership_point(ctx: AdeleContext, n: int, k: int) -> Fraction:
     return Fraction(n * b ** (k + 2), a ** (k + 1))
 
 
+def _membership_residues(ctx: AdeleContext, n: int, k: int, r: int) -> tuple[int, ...]:
+    """Residues of the level-r box holding membership_point(ctx, n, k); the
+    box's canonical corner is b H(residues) / a^r."""
+    x = membership_point(ctx, n, k)
+    if r < 0:
+        raise ValueError("level must be >= 0")
+    return _peel(ctx.base.a, ctx.base.b, _box(ctx, x, r)[2], r)
+
+
 def classify_digit(ctx: AdeleContext, n: int, k: int, r: int,
                    tubes: "Mapping[int, BoundaryTube] | None" = None) -> int:
     """Digit eps_k(n) read off geometrically from the level-r box location.
@@ -341,15 +383,16 @@ def classify_digit(ctx: AdeleContext, n: int, k: int, r: int,
     box inside the tube of its own digit raises BoundaryAmbiguous: the
     level-r read cannot be trusted there and the caller should raise r.
     """
-    loc = locate_box(ctx, membership_point(ctx, n, k), r)
+    residues = _membership_residues(ctx, n, k, r)
     if tubes is not None:
-        tube = tubes[loc.digit]
+        tube = tubes[residues[0]]
         if tube.level != r:
             raise ValueError(f"level-{tube.level} tubes for a level-{r} read")
-        if loc.canonical_corner in tube.members:
+        a, b = ctx.base.a, ctx.base.b
+        if Fraction(b * _horner(a, b, residues), a**r) in tube.members:
             raise BoundaryAmbiguous(
                 f"point for (n={n}, k={k}) lies in the level-{r} boundary tube")
-    return loc.digit
+    return residues[0]
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +500,11 @@ def count_boundary_hits(ctx: AdeleContext, k: int, r: int, N: int,
     if N < 0:
         raise ValueError("N must be nonnegative")
     _check_budget(N)
+    a, b = ctx.base.a, ctx.base.b
     hits = 0
     for n in range(1, N + 1):
-        loc = locate_box(ctx, membership_point(ctx, n, k), r)
-        if loc.canonical_corner in tube.members:
+        residues = _membership_residues(ctx, n, k, r)
+        if Fraction(b * _horner(a, b, residues), a**r) in tube.members:
             hits += 1
     return hits
 
@@ -556,16 +600,24 @@ def cover_census(ctx: AdeleContext, z, r: int) -> tuple[int, bool]:
     Locates the box by the half-open rule, then independently validates the
     containment inequalities.  Returns (count, flagged): count is the number
     of closed level-r boxes containing z (2 exactly on a shared face).
+
+    With the corner C / Q = y b^r / (q a^r) and z_oo = X / D, the real offset
+    is (X Q - C D) / (D Q), which must lie in [0, b^r / a^r); each z_p - C / Q
+    must have valuation at least r v_p(b).
     """
-    z = _as_point(ctx, z)
-    loc = locate_box(ctx, z, r)
-    width = ctx.alpha_pow(-r)
-    off = z.real - loc.corner
-    if not 0 <= off < width:
+    x, xs = _coordinates(ctx, z)
+    if r < 0:
+        raise ValueError("level must be >= 0")
+    y, q, _ = _box(ctx, z, r)
+    ar, br = ctx.base.a ** r, ctx.base.b ** r
+    C, Q = y * br, q * ar
+    D = x.denominator
+    off = x.numerator * Q - C * D
+    if not 0 <= off * ar < br * D * Q:
         raise AssertionError("located box fails the real containment check")
-    for p, e in ctx.primes:
-        diff = z.padic[p] - loc.corner
-        if diff != 0 and _vp(p, diff) < r * e:
+    for (p, e), x_p in zip(ctx.primes, xs):
+        diff = x_p.numerator * Q - C * x_p.denominator
+        if diff != 0 and _vp(p, diff) - _vp(p, x_p.denominator * Q) < r * e:
             raise AssertionError("located box fails the p-adic containment check")
     on_face = off == 0
     return (2 if on_face else 1), on_face

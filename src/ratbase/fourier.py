@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .adelic import (AdeleContext, _check_budget, _split_b, locate_box,
+from .adelic import (AdeleContext, _box, _check_budget, _first_residue, _split_b,
                      max_enum, membership_point)
 
 
@@ -166,8 +166,8 @@ def eval_urysohn_direct(ctx: AdeleContext, d: int, r: int, z) -> Fraction:
     f_{d,r} is a sum of tents of half-width h = alpha^(-r), one on each
     corner of a digit-d box, that count only where the p-adic balls agree.
     The corners in z's ball are x + k h, with x the corner of the level-r
-    box holding z (locate_box), so only x and its right neighbour x + h
-    reach z.  With theta = (z - x) / h in [0, 1):
+    box holding z, so only x and its right neighbour x + h reach z.  With
+    theta = (z - x) / h in [0, 1):
 
         f_{d,r}(Phi(z)) = (1 - theta) [digit(x) = d] + theta [digit(x + h) = d]
     """
@@ -177,13 +177,16 @@ def eval_urysohn_direct(ctx: AdeleContext, d: int, r: int, z) -> Fraction:
     if r < 1:
         raise ValueError("level must be >= 1")
     z = Fraction(z)
-    loc = locate_box(ctx, z, r)
-    h = Fraction(b**r, a**r)
-    theta = (z - loc.corner) / h
-    value = 1 - theta if loc.digit == d else Fraction(0)
-    if theta and locate_box(ctx, loc.corner + h, r).digit == d:
-        value += theta
-    return value
+    y, q, u = _box(ctx, z, r)
+    ar, br = a**r, b**r
+    # x = y h / q, so theta = z / h - y / q = t / s; the right neighbour
+    # x + h has the scaled corner (y + q) / q and the class u + 1
+    s = z.denominator * br * q
+    t = z.numerator * ar * q - y * z.denominator * br
+    num = s - t if _first_residue(a, b, u, r) == d else 0
+    if t and _first_residue(a, b, (u + 1) % ar, r) == d:
+        num += t
+    return Fraction(num, s)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's fast paths: plain
 per-integer digit scans instead of the counting engine, a scan of the
 stream's digits instead of counting its windows on that engine, brute-force
 residue searches instead of modular inverses, literal Fraction sums
-instead of integer Horner evaluation, Fraction box geometry instead of
-integer numerators over a^r, a Fraction lattice reduction instead of
+instead of integer Horner evaluation, Fraction box geometry and
+containment checks instead of integer numerators over a^r and
+cross-multiplied integer checks, a Fraction lattice reduction instead of
 point location at level 0, Fraction character exponents instead of
 residues of m = xi b^r, Fraction SVG coordinates instead of integers over
 a common denominator, and numerical quadrature instead of closed forms.
@@ -350,6 +351,21 @@ def locate_box_ref(ctx: AdeleContext, z, r: int) -> BoxLocation:
     corner = w / ar
     residues, translate = residue_digits_ref(ctx, corner, r)
     return BoxLocation(level=r, corner=corner, residues=residues, translate=translate)
+
+
+def cover_census_ref(ctx: AdeleContext, z, r: int) -> tuple[int, bool]:
+    """Locate the box, then check the closed-box containment in Fractions:
+    z_oo - c in [0, alpha^(-r)) and v_p(z_p - c) >= r v_p(b) for each p."""
+    z = _point(ctx, z)
+    corner = locate_box_ref(ctx, z, r).corner
+    off = z.real - corner
+    if not 0 <= off < Fraction(ctx.base.b, ctx.base.a) ** r:
+        raise AssertionError("located box fails the real containment check")
+    for p, e in ctx.primes:
+        diff = z.padic[p] - corner
+        if diff != 0 and vp(p, diff) < r * e:
+            raise AssertionError("located box fails the p-adic containment check")
+    return (2, True) if off == 0 else (1, False)
 
 
 def tile_corners_ref(ctx: AdeleContext, d: int, r: int) -> tuple[Fraction, ...]:

@@ -39,6 +39,7 @@ from helpers import (
     ORACLE_BASES,
     boundary_tubes_ref,
     corner_set,
+    cover_census_ref,
     denominator_in_b,
     fiber_interval_ref,
     frac_p_bruteforce,
@@ -496,10 +497,32 @@ class TestIntegerGeometryOracles:
             e_vec = [rng.randrange(a) for _ in range(r)]
             z = corner_of_residues(ctx, e_vec) + Fraction(rng.randint(-50, 50),
                                                           b ** rng.randint(0, 3))
-            assert cover_census(ctx, z, r) == (2, True)
+            assert cover_census(ctx, z, r) == cover_census_ref(ctx, z, r) == (2, True)
             loc = locate_box(ctx, z, r)
             assert loc.corner == z and list(loc.residues) == e_vec
             assert repr(loc) == repr(locate_box_ref(ctx, z, r))
+
+    def test_cover_census(self, base):
+        ctx = AdeleContext(base)
+        rng = random.Random(f"census {base}")
+        for z in _oracle_points(ctx, rng, 300):
+            for r in range(9):
+                assert cover_census(ctx, z, r) == cover_census_ref(ctx, z, r)
+
+    def test_input_types_agree(self, base):
+        # an int, a Fraction, a numeric string and the diagonal AdelePoint
+        # of one value are the same point
+        ctx = AdeleContext(base)
+        rng = random.Random(f"types {base}")
+        for i in range(120):
+            q = Fraction(rng.randint(-10**5, 10**5), rng.choice([1, 1, 7, base.a**2, base.b**3]))
+            forms = [q, str(q), AdelePoint.diagonal(ctx, q)]
+            if q.denominator == 1:
+                forms.append(q.numerator)
+            r = i % 9
+            want = repr(locate_box_ref(ctx, q, r)), cover_census_ref(ctx, q, r)
+            for z in forms:
+                assert (repr(locate_box(ctx, z, r)), cover_census(ctx, z, r)) == want
 
     def test_reduce_mod_lattice(self, base):
         ctx = AdeleContext(base)
@@ -535,6 +558,55 @@ class TestIntegerGeometryOracles:
                 continue  # the Fraction reference is slow there
             assert repr(boundary_tubes(ctx, r, resolution)) == repr(
                 boundary_tubes_ref(ctx, r, resolution))
+
+
+def test_non_rational_coordinates_are_type_errors(ctx32):
+    with pytest.raises(TypeError, match="coordinate at p = 2 is not rational: 0.5"):
+        cover_census(ctx32, AdelePoint(Fraction(1, 3), {2: 0.5}), 2)
+    with pytest.raises(TypeError, match="real coordinate is not rational"):
+        locate_box(ctx32, AdelePoint(0.25, {2: Fraction(1, 3)}), 2)
+    with pytest.raises(TypeError, match="coordinate at p = 2"):
+        reduce_mod_lattice(ctx32, AdelePoint(Fraction(1, 3), {2: "1/2"}))
+
+
+class TestFrozenDownstreamValues:
+    """Digit reads, tube hits and a pattern estimate, as computed before
+    point location moved onto one integer core."""
+
+    @staticmethod
+    def _cases(ctx):
+        rng = random.Random(f"frozen reads {ctx.base}")
+        return [(rng.randrange(1, 10**5), rng.randrange(5), rng.choice((3, 4, 5)))
+                for _ in range(60)]
+
+    def test_classify_digit(self, ctx32):
+        reads = {
+            Base(3, 2): "020102122211212102111110222022012021001022202011110020200102",
+            Base(7, 6): "311156063661203050143154020024056211055152511510353526453633",
+        }
+        for base, want in reads.items():
+            ctx = AdeleContext(base)
+            assert "".join(str(classify_digit(ctx, n, k, r))
+                           for n, k, r in self._cases(ctx)) == want
+        tubes = {r: boundary_tubes(ctx32, r, r + 3) for r in (3, 4, 5)}
+
+        def certified(n, k, r):
+            try:
+                return str(classify_digit(ctx32, n, k, r, tubes[r]))
+            except BoundaryAmbiguous:
+                return "?"
+
+        assert "".join(certified(*c) for c in self._cases(ctx32)) == (
+            "??0?0?122???????0?????????????????????????2?????11?0??2?????")
+
+    def test_count_boundary_hits(self, ctx32):
+        tubes = boundary_tubes(ctx32, 3, 5)
+        assert [count_boundary_hits(ctx32, 2, 3, 3000, tubes[d]) for d in range(3)] == [
+            2000, 1999, 1999]
+
+    def test_urysohn_pattern_estimate(self, ctx32):
+        got = urysohn_pattern_estimate(ctx32, (2, 1), 2, 3, 300)
+        assert type(got) is Fraction and got == Fraction(101, 3)
 
 
 # every entry point that takes a box level, called at level -1
