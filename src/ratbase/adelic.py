@@ -64,7 +64,19 @@ def max_enum() -> int:
 def _check_budget(work: int) -> None:
     cap = max_enum()
     if work > cap:
-        raise ScaleExceeded(f"enumeration of {work} objects exceeds cap {cap}")
+        # str() refuses integers of over 4300 digits: name a huge charge by
+        # a power of ten below it
+        amount = (work if work.bit_length() <= 256 else
+                  f"more than 10^{(work.bit_length() - 1) * 30102999 // 10**8}")
+        raise ScaleExceeded(f"enumeration of {amount} objects exceeds cap {cap}")
+
+
+def _check_power(a: int, k: int) -> None:
+    """Refuse a charge of at least a^k before the power is taken: a >= 2,
+    so a^k > cap once k > cap.bit_length()."""
+    cap = max_enum()
+    if k > cap.bit_length():
+        raise ScaleExceeded(f"enumeration of at least {a}^{k} objects exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -328,6 +340,7 @@ def tile_corners(ctx: AdeleContext, d: int, r: int) -> tuple[Fraction, ...]:
         raise ValueError(f"digit {d} outside alphabet")
     if r < 1:
         raise ValueError("level must be >= 1")
+    _check_power(a, r - 1)
     _check_budget(a ** (r - 1))
     ar = a**r
     return tuple(Fraction(n, ar) for n in sorted(_corner_numerators(a, b, r, d)))
@@ -345,8 +358,9 @@ def verify_residue_system(ctx: AdeleContext, r: int) -> bool:
     if r < 0:
         raise ValueError("level must be >= 0")
     a, b = ctx.base.a, ctx.base.b
-    _check_budget(a**r)
+    _check_power(a, r)
     mod = a**r
+    _check_budget(mod)
     seen = bytearray(mod)
     for d in range(a):
         for c in _corner_numerators(a, b, r, d):
@@ -472,6 +486,7 @@ def boundary_tubes(ctx: AdeleContext, r: int, resolution: int) -> dict[int, Boun
     a, b = ctx.base.a, ctx.base.b
     if resolution <= r:
         raise ValueError("resolution must exceed the tube level")
+    _check_power(a, resolution)  # the charge below is at least a^resolution
     per_rho = sum(a ** (rho - r) + _tail_overhang(a, b, rho - r) + 2
                   for rho in range(r + 1, resolution + 1))
     _check_budget(a**r * max(per_rho, 1))

@@ -21,7 +21,7 @@ from .adelic import (AdeleContext, BoundaryAmbiguous, ScaleExceeded,
                      boundary_tubes, char_tilde, classify_digit,
                      corner_of_residues, cover_census, frac_p, in_z_alpha,
                      reduce_mod_lattice, verify_residue_system, _check_budget,
-                     _vp)
+                     _check_power, _vp)
 from .fourier import (coeff_f, coefficient_table, eval_urysohn_direct,
                       eval_urysohn_series, series_tail_bound)
 from .numeration import (Base, DigitWord, NotInLanguage, decode, digit, encode,
@@ -174,6 +174,7 @@ def cmd_tiles(args) -> int:
     ctx = AdeleContext(_base_of(args))
     count, translates = args.translates
     # render_tiles charges the same amount, but only once it holds the list
+    _check_power(ctx.base.a, args.r)
     _check_budget(max(count, 1) * ctx.base.a ** args.r)
     rects = render_tiles(ctx, args.r, translates, scheme=args.scheme)
     text = tiles_csv(rects) if args.format == "csv" else tiles_svg(rects)

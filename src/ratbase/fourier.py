@@ -37,6 +37,13 @@ from typing import Sequence
 from .adelic import (AdeleContext, _box, _check_budget, _first_residue, _split_b,
                      max_enum, membership_point)
 
+# the constant factors of the angles, each computed as the expressions that
+# use them would compute it first, so hoisting them changes no result bit
+_TWO_PI = 2.0 * math.pi
+_TWO_PI_J = 2j * math.pi
+_NEG_TWO_PI_J = -2j * math.pi
+_PI_SQUARED = math.pi**2
+
 
 @dataclass(frozen=True)
 class FourierCoefficient:
@@ -69,9 +76,9 @@ def _chi_residue(ctx: AdeleContext, num: int, den: int) -> tuple[int, int]:
 
 def _closed_form(m: int, ar: int, P: int, Q: int, factor: complex) -> complex:
     """a^r / (4 m^2) |1 - e(m / a^r)|^2 / pi^2 e(P / Q) factor at xi = m / b^r."""
-    amp = 2.0 - 2.0 * math.cos(2.0 * math.pi * (m % ar / ar))
-    unit = cmath.exp(2j * math.pi * (P / Q))
-    return ar / (4 * m * m) * amp / math.pi**2 * unit * factor
+    amp = 2.0 - 2.0 * math.cos(_TWO_PI * (m % ar / ar))
+    unit = cmath.exp(_TWO_PI_J * (P / Q))
+    return ar / (4 * m * m) * amp / _PI_SQUARED * unit * factor
 
 
 def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
@@ -114,23 +121,59 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
     if m is None or m % a == 0:
         q = Fraction(1, a) if xi == 0 else Fraction(0)
         return FourierCoefficient(xi, complex(q), q)
-    return FourierCoefficient(xi, _f_value(ctx, d, r, m), None)
-
-
-def _f_value(ctx: AdeleContext, d: int, r: int, m: int) -> complex:
-    """c'_{d,r,m/b^r} for an integer m >= 0; callers check the digit d."""
-    a, b = ctx.base.a, ctx.base.b
-    if r == 0 or m % a == 0:
-        return complex(1 / a) if m == 0 else 0j
     ar = a**r
-    w = -m * pow(b, -r, ar) % ar  # t_k = (w b^k mod a^k) / a^k
+    w = -m * pow(b, -r, ar) % ar
+    value = _closed_form(m, ar, -d * w * b % a, a, _level_factor(a, b, r, w))
+    return FourierCoefficient(xi, value, None)
+
+
+def _level_sum(a: int, ak: int, c: int) -> complex:
+    """sum over e in {0..a-1} of e(-e c / a^k), the level-k factor of c'."""
+    return sum([cmath.exp(_NEG_TWO_PI_J * ((e * c % ak) / ak)) for e in range(a)])
+
+
+def _level_factor(a: int, b: int, r: int, w: int,
+                  sums: dict | None = None, top: int = 0) -> complex:
+    """prod_{k=2..r} _level_sum(a, a^k, c_k) with c_k = w b^k mod a^k.
+
+    A level sum depends on (a^k, c_k) only; the sums of levels with
+    a^k < top are looked up in, and added to, `sums` under that key.
+    """
     factor = complex(1.0)
     ak, bk = a, b
     for _ in range(2, r + 1):
         ak, bk = ak * a, bk * b
         c = w * bk % ak
-        factor *= sum(cmath.exp(-2j * math.pi * ((e * c % ak) / ak)) for e in range(a))
-    return _closed_form(m, ar, -d * w * b % a, a, factor)
+        if ak < top:
+            s = sums.get((ak, c))
+            if s is None:
+                s = sums[ak, c] = _level_sum(a, ak, c)
+        else:
+            s = _level_sum(a, ak, c)
+        factor *= s
+    return factor
+
+
+def _f_values(ctx: AdeleContext, digits: Sequence[int], r: int, ms: range):
+    """For each m in ms (integers >= 0), the tuple of c'_{d,r,m/b^r} over
+    digits; callers check the digits.
+
+    w = -m b^(-r) mod a^r and the level factor depend on m only, so each is
+    computed once per m for all digits.  Over len(ms) consecutive modes the
+    residues c_k mod a^k repeat only where a^k < len(ms), so the call keeps
+    the level sums of those levels: fewer than 2 len(ms) of them.
+    """
+    a, b = ctx.base.a, ctx.base.b
+    ar = a**r
+    b_inv = pow(b, -r, ar)
+    sums: dict[tuple[int, int], complex] = {}
+    for m in ms:
+        if r == 0 or m % a == 0:
+            yield (complex(1 / a) if m == 0 else 0j,) * len(digits)
+            continue
+        w = -m * b_inv % ar  # t_k = (w b^k mod a^k) / a^k
+        factor = _level_factor(a, b, r, w, sums, len(ms))
+        yield tuple(_closed_form(m, ar, -d * w * b % a, a, factor) for d in digits)
 
 
 def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
@@ -148,11 +191,13 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
         if not 0 <= d < ctx.base.a:
             raise ValueError(f"digit {d} outside alphabet")
     _check_budget(len(digits) * (max_m + 1))
+    rows: list[list[str]] = [[] for _ in digits]
+    for m, values in enumerate(_f_values(ctx, digits, r, range(max_m + 1))):
+        for row, d, v in zip(rows, digits, values):
+            row.append(f"{m},{r},{d},{v.real!r},{v.imag!r},{abs(v)!r}")
     lines = ["xi_numerator,r,digit,re,im,abs"]
-    for d in digits:
-        for m in range(0, max_m + 1):
-            v = _f_value(ctx, d, r, m)
-            lines.append(f"{m},{r},{d},{v.real!r},{v.imag!r},{abs(v)!r}")
+    for row in rows:
+        lines += row
     return "\n".join(lines) + "\n"
 
 
@@ -246,8 +291,8 @@ class _SeriesCache:
             return got
         _check_budget(cutoff)
         self.misses += 1
-        values = ((m, _f_value(ctx, d, r, m)) for m in range(1, cutoff + 1))
-        got = self.lists[key] = tuple((m, c) for m, c in values if c != 0)
+        values = _f_values(ctx, (d,), r, range(1, cutoff + 1))
+        got = self.lists[key] = tuple((m, c) for m, (c,) in enumerate(values, 1) if c != 0)
         self.pairs += len(got)
         cap = max_enum()
         while len(self.lists) > 64 or self.pairs > cap:
@@ -281,10 +326,17 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
     pairs = _series_coeffs(ctx, d, r, cutoff)
     P, Q = _chi_residue(ctx, z.numerator, z.denominator * b**r)
     total = 1.0 / a
-    for m, c in pairs:
-        ang = 2.0 * math.pi * ((m * P) % Q) / Q
-        w = complex(math.cos(ang), math.sin(ang))
-        total += 2.0 * (c * w).real
+    if Q <= len(pairs):
+        # m P mod Q takes at most Q values: one root of unity per residue
+        units = [complex(math.cos(ang), math.sin(ang))
+                 for ang in (_TWO_PI * j / Q for j in range(Q))]
+        for m, c in pairs:
+            total += 2.0 * (c * units[m * P % Q]).real
+    else:
+        for m, c in pairs:
+            ang = _TWO_PI * ((m * P) % Q) / Q
+            w = complex(math.cos(ang), math.sin(ang))
+            total += 2.0 * (c * w).real
     trunc = SeriesTruncation(cutoff=cutoff, terms=2 * cutoff + 1,
                              tail_bound=series_tail_bound(ctx, r, cutoff))
     return SeriesEval(value=total, truncation=trunc)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .adelic import (AdeleContext, _check_budget, fiber_interval, in_z_alpha,
-                     tile_corners)
+from .adelic import (AdeleContext, _check_budget, _check_power, fiber_interval,
+                     in_z_alpha, tile_corners)
 
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
             "#aa3377", "#bbbbbb", "#222255", "#225555", "#552255")
@@ -45,6 +45,7 @@ def render_tiles(ctx: AdeleContext, r: int, translates: Iterable,
         if not in_z_alpha(ctx, t):
             raise ValueError(f"translate {t} is not in Z[alpha]")
     a = ctx.base.a
+    _check_power(a, r)
     _check_budget(max(len(shifts), 1) * a**r)
     width = ctx.alpha_pow(-r)
     rects = []

@@ -31,6 +31,7 @@ from ratbase import (
     locate_box,
     membership_point,
     reduce_mod_lattice,
+    render_tiles,
     tile_corners,
     urysohn_pattern_estimate,
     verify_residue_system,
@@ -234,6 +235,18 @@ class TestTiles:
         monkeypatch.setenv("RATBASE_MAX_ENUM", "100")
         with pytest.raises(ScaleExceeded):
             verify_residue_system(ctx32, 8)
+
+    @pytest.mark.parametrize("call", [
+        lambda ctx: tile_corners(ctx, 0, 10**7),
+        lambda ctx: verify_residue_system(ctx, 10**7),
+        lambda ctx: boundary_tubes(ctx, 10**7, 10**7 + 1),
+        lambda ctx: boundary_tubes(ctx, 3, 10**7),
+        lambda ctx: render_tiles(ctx, 10**7, [0]),
+    ], ids=["tile_corners", "residue_system", "tubes_level", "tubes_resolution", "render"])
+    def test_huge_levels_are_refused_before_the_power(self, ctx32, call):
+        # 3^(10^7) takes seconds to compute and cannot be printed
+        with pytest.raises(ScaleExceeded, match=r"^enumeration of at least 3\^\d+ objects"):
+            call(ctx32)
 
 
 class TestLocateAndMembership:

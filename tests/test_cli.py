@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -257,6 +258,35 @@ class TestVerifyCommand:
                         env_extra={"RATBASE_MAX_ENUM": "10"})
             assert r.returncode == 3, suite
             assert r.stdout == "", suite
+
+
+class TestHugeLevelRefusals:
+    """A charge the cap cannot reach exits 3 with one error line, even when
+    the charge is too large to print or to compute."""
+
+    @pytest.mark.parametrize("argv", [
+        ("tiles", *BASE32, "--r", "100000"),
+        ("verify", *BASE32, "--suite", "tiling", "--r", "100000", "--N", "1"),
+        ("verify", *BASE32, "--suite", "boundary", "--r", "3",
+         "--resolution", "100000", "--N", "1"),
+        ("tiles", *BASE32, "--r", "2", "--translates", "0..1e5000"),
+    ], ids=["tiles", "tiling", "boundary", "translates"])
+    def test_exit_code_and_one_error_line(self, argv):
+        r = run_cli(*argv)
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: enumeration of ")
+        assert r.stderr.count("\n") == 1
+
+    def test_level_ten_million_is_refused_at_once(self, capsys):
+        from ratbase import cli
+        start = time.perf_counter()
+        code = cli.main(["tiles", *BASE32, "--r", "10000000"])
+        took = time.perf_counter() - start
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "error: enumeration of at least 3^10000000 objects exceeds cap 10000000\n"
+        assert took < 1.0
 
 
 class TestExitCodes:

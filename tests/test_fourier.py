@@ -10,6 +10,7 @@ from ratbase import (
     AdeleContext,
     Base,
     ScaleExceeded,
+    char_exponent,
     coeff_f,
     coeff_g,
     coefficient_table,
@@ -393,6 +394,18 @@ class TestIntegerFourierOracles:
             got = eval_urysohn_series(ctx, d, r, z, cutoff)
             assert repr(got.value) == repr(urysohn_series_ref(ctx, d, r, z, cutoff)), (z, r)
             assert got.truncation.terms == 2 * cutoff + 1
+        # at cutoff 400 both sides of the series' choice run: one root of
+        # unity per residue where Q <= the nonzero terms, one per term where a
+        # large prime in the denominator puts Q above them
+        sides = set()
+        for i, den in enumerate([1, 7, 11 * 13, a * b**4, 1000003, 999983 * b**2]):
+            z = Fraction(rng.randint(-10**6, 10**6), den)
+            r, d = 1 + i % 3, rng.randrange(a)
+            Q = (char_exponent(ctx, z / b**r) % 1).denominator
+            sides.add(Q <= len(_series_coeffs(ctx, d, r, 400)))
+            got = eval_urysohn_series(ctx, d, r, z, 400)
+            assert repr(got.value) == repr(urysohn_series_ref(ctx, d, r, z, 400)), (z, r)
+        assert sides == {True, False}
 
 
 def _table_ref(ctx, digits, r, max_m):
@@ -405,11 +418,14 @@ def _table_ref(ctx, digits, r, max_m):
 
 
 class TestIntegerFourierTables:
-    @pytest.mark.parametrize("a, b, r", [(3, 2, 4), (5, 2, 3)])
+    # every ORACLE_BASES base; max_m >= a^r, so every level's sums repeat
+    @pytest.mark.parametrize("a, b, r", [(3, 2, 4), (5, 2, 3), (5, 3, 3), (7, 4, 3),
+                                         (10, 1, 3), (7, 6, 3)])
     def test_table_is_byte_identical(self, a, b, r):
         ctx = AdeleContext(Base(a, b))
         digits = list(range(a))
-        assert coefficient_table(ctx, digits, r, 300) == _table_ref(ctx, digits, r, 300)
+        max_m = max(300, a**r + a)
+        assert coefficient_table(ctx, digits, r, max_m) == _table_ref(ctx, digits, r, max_m)
 
     def test_integer_base_level_eight_allocates_nothing_of_size_a_r(self):
         # a^r = 10^8: a table over the residues mod a^r would need that many slots
@@ -423,3 +439,14 @@ class TestIntegerFourierTables:
             tracemalloc.stop()
         assert peak < 64 * 1024
         assert repr(value) == repr(coeff_f_ref(ctx, 3, 8, xi).value)
+        # a table or a series fill keeps only level sums of levels with
+        # a^k below its number of modes, 200 here
+        for call in (lambda: coefficient_table(ctx, [3], 8, 200),
+                     lambda: eval_urysohn_series(ctx, 3, 8, Fraction(1, 7), 200)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 256 * 1024
