@@ -155,8 +155,8 @@ def _level_factor(a: int, b: int, r: int, w: int,
 
 
 def _f_values(ctx: AdeleContext, digits: Sequence[int], r: int, ms: range):
-    """For each m in ms (integers >= 0), the tuple of c'_{d,r,m/b^r} over
-    digits; callers check the digits.
+    """(m, the tuple of c'_{d,r,m/b^r} over digits) for each m in ms, a
+    range of consecutive integers >= 0; callers check the digits.
 
     w = -m b^(-r) mod a^r and the level factor depend on m only, so each is
     computed once per m for all digits.  Over len(ms) consecutive modes the
@@ -169,11 +169,11 @@ def _f_values(ctx: AdeleContext, digits: Sequence[int], r: int, ms: range):
     sums: dict[tuple[int, int], complex] = {}
     for m in ms:
         if r == 0 or m % a == 0:
-            yield (complex(1 / a) if m == 0 else 0j,) * len(digits)
+            yield m, (complex(1 / a) if m == 0 else 0j,) * len(digits)
             continue
         w = -m * b_inv % ar  # t_k = (w b^k mod a^k) / a^k
         factor = _level_factor(a, b, r, w, sums, len(ms))
-        yield tuple(_closed_form(m, ar, -d * w * b % a, a, factor) for d in digits)
+        yield m, tuple(_closed_form(m, ar, -d * w * b % a, a, factor) for d in digits)
 
 
 def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
@@ -192,7 +192,7 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
             raise ValueError(f"digit {d} outside alphabet")
     _check_budget(len(digits) * (max_m + 1))
     rows: list[list[str]] = [[] for _ in digits]
-    for m, values in enumerate(_f_values(ctx, digits, r, range(max_m + 1))):
+    for m, values in _f_values(ctx, digits, r, range(max_m + 1)):
         for row, d, v in zip(rows, digits, values):
             row.append(f"{m},{r},{d},{v.real!r},{v.imag!r},{abs(v)!r}")
     lines = ["xi_numerator,r,digit,re,im,abs"]
@@ -292,7 +292,7 @@ class _SeriesCache:
         _check_budget(cutoff)
         self.misses += 1
         values = _f_values(ctx, (d,), r, range(1, cutoff + 1))
-        got = self.lists[key] = tuple((m, c) for m, (c,) in enumerate(values, 1) if c != 0)
+        got = self.lists[key] = tuple((m, c) for m, (c,) in values if c != 0)
         self.pairs += len(got)
         cap = max_enum()
         while len(self.lists) > 64 or self.pairs > cap:
