@@ -14,10 +14,11 @@ and its class mod Z[1/b] is X b^(-r) mod a^r, from which the residues peel
 off again (see _peel).  Point location (lattice reduction is its level 0),
 tile corners, boundary tubes and fiber intervals work on such numerators
 over a^r and b-powers and build one Fraction per returned value.  One
-integer core, _box, locates every point: it reads a scalar's numerator and
-denominator directly and an AdelePoint's coordinates place by place, and
-serves locate_box, the cross-multiplied containment check of cover_census,
-the digit reads and the smoothed tile values in fourier.
+integer core, _box, locates every point from what _coordinates reads (a
+scalar's numerator and denominator directly, an AdelePoint's coordinates
+place by place), and serves locate_box, the cross-multiplied containment check of cover_census,
+the digit reads and the smoothed tile values in fourier.  Every entry
+point that takes a level checks it, and takes a^r and b^r, in _level.
 
 Level-r boxes are translates of D_r = alpha^(-r) D_0: a box with corner c in
 alpha^(-r) Z[1/b] is the product of the real interval [c, c + alpha^(-r)]
@@ -71,14 +72,6 @@ def _check_budget(work: int) -> None:
         raise ScaleExceeded(f"enumeration of {amount} objects exceeds cap {cap}")
 
 
-def _check_power(a: int, k: int) -> None:
-    """Refuse a charge of at least a^k before the power is taken: a >= 2,
-    so a^k > cap once k > cap.bit_length()."""
-    cap = max_enum()
-    if k > cap.bit_length():
-        raise ScaleExceeded(f"enumeration of at least {a}^{k} objects exceeds cap {cap}")
-
-
 @dataclass(frozen=True)
 class AdeleContext:
     """A base together with its finite places (p, v_p(b)) for p | b."""
@@ -91,6 +84,36 @@ class AdeleContext:
 
     def alpha_pow(self, k: int) -> Fraction:
         return Fraction(self.base.a, self.base.b) ** k
+
+
+# Every entry point accepts a level r only while a^r < 2^_LEVEL_BITS.  Below
+# it every float the Fourier layer derives from a^r stays finite: a^r/(4m^2)
+# in its closed form and 2 a^(2r-1) in series_tail_bound.  The largest level
+# is 322 at a = 3 and 153 at a = 10.
+_LEVEL_BITS = 511
+
+
+def _level(ctx: AdeleContext, r: int, least: int = 0,
+           charged: int | None = None) -> tuple[int, int]:
+    """(a^r, b^r) for a level r that an entry point accepts, checked before
+    any power is taken.
+
+    r < least is a ValueError.  An entry point charged at least a^charged
+    objects is refused next, while charged exceeds the cap's bit length
+    (a >= 2, so a^charged > cap).  Last, a^r >= 2^_LEVEL_BITS is refused,
+    for r >= _LEVEL_BITS without computing a^r.
+    """
+    if r < least:
+        raise ValueError(f"level must be >= {least}")
+    a = ctx.base.a
+    if charged is not None and charged > max_enum().bit_length():
+        raise ScaleExceeded(
+            f"enumeration of at least {a}^{charged} objects exceeds cap {max_enum()}")
+    if r < _LEVEL_BITS:
+        ar = a**r
+        if ar.bit_length() <= _LEVEL_BITS:
+            return ar, ctx.base.b**r
+    raise ScaleExceeded(f"level {r} is too large: {a}^{r} >= 2^{_LEVEL_BITS}")
 
 
 @dataclass(frozen=True, eq=True)
@@ -193,8 +216,8 @@ def reduce_mod_lattice(ctx: AdeleContext, z) -> tuple[Fraction, AdelePoint]:
     y is the corner of the level-0 box holding z: the one y in Z[1/b] with
     z_oo - y in [0,1) and z_p - y p-integral for each p | b.
     """
-    x, xs = _coordinates(ctx, z)
-    y, q, _ = _box(ctx, z, 0)
+    x, xs = coords = _coordinates(ctx, z)
+    y, q, _ = _box(ctx, coords, 0, 1, 1)
     y = Fraction(y, q)
     res = AdelePoint(
         real=x - y,
@@ -281,8 +304,9 @@ def _coordinates(ctx: AdeleContext, z) -> tuple:
     return z.real, tuple(padic[p] for p, _ in ctx.primes)
 
 
-def _box(ctx: AdeleContext, z, r: int) -> tuple[int, int, int]:
-    """(y, q, u) for the level-r box holding z under the half-open convention.
+def _box(ctx: AdeleContext, coords: tuple, r: int, ar: int, br: int) -> tuple[int, int, int]:
+    """(y, q, u) for the level-r box holding the point read as `coords` by
+    _coordinates, under the half-open convention; ar, br = a^r, b^r.
 
     The box's corner is y b^r / (q a^r), for a b-power q, and u = y q^(-1)
     mod a^r is its class, from which _peel reads the residues.
@@ -290,9 +314,7 @@ def _box(ctx: AdeleContext, z, r: int) -> tuple[int, int, int]:
     With z scaled by alpha^r, the sum of the p-adic fractional parts is
     t / q; the scaled corner is y / q with y = t + q floor(alpha^r z_oo - t / q).
     """
-    x, xs = _coordinates(ctx, z)
-    a, b = ctx.base.a, ctx.base.b
-    ar, br = a**r, b**r
+    x, xs = coords
     t, q = 0, 1
     for (p, e), x_p in zip(ctx.primes, xs):
         # lambda_p(alpha^r z_p) = tp / pm, pm the p-part of its denominator
@@ -315,11 +337,9 @@ def locate_box(ctx: AdeleContext, z, r: int) -> BoxLocation:
     v_p(z_p - c) >= r v_p(b) for each p; points on a shared face belong to
     the box on their right.
     """
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    y, q, u = _box(ctx, z, r)
+    ar, br = _level(ctx, r)
+    y, q, u = _box(ctx, _coordinates(ctx, z), r, ar, br)
     a, b = ctx.base.a, ctx.base.b
-    ar, br = a**r, b**r
     residues = _peel(a, b, u, r)
     c = b * _horner(a, b, residues)
     return BoxLocation(level=r, corner=Fraction(y * br, q * ar), residues=residues,
@@ -338,11 +358,8 @@ def tile_corners(ctx: AdeleContext, d: int, r: int) -> tuple[Fraction, ...]:
     a, b = ctx.base.a, ctx.base.b
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
-    if r < 1:
-        raise ValueError("level must be >= 1")
-    _check_power(a, r - 1)
-    _check_budget(a ** (r - 1))
-    ar = a**r
+    ar, _ = _level(ctx, r, 1, charged=r - 1)
+    _check_budget(ar // a)
     return tuple(Fraction(n, ar) for n in sorted(_corner_numerators(a, b, r, d)))
 
 
@@ -355,11 +372,8 @@ def verify_residue_system(ctx: AdeleContext, r: int) -> bool:
     at a time by X mod a^r, are pairwise non-congruent iff they mark every
     class.
     """
-    if r < 0:
-        raise ValueError("level must be >= 0")
     a, b = ctx.base.a, ctx.base.b
-    _check_power(a, r)
-    mod = a**r
+    mod, _ = _level(ctx, r, charged=r)
     _check_budget(mod)
     seen = bytearray(mod)
     for d in range(a):
@@ -376,17 +390,19 @@ def membership_point(ctx: AdeleContext, n: int, k: int) -> Fraction:
     """The rational b*n / alpha^(k+1) whose reduced position encodes eps_k(n)."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    a, b = ctx.base.a, ctx.base.b
-    return Fraction(n * b ** (k + 2), a ** (k + 1))
+    ak, bk = _level(ctx, k + 1)  # position k reads the level-(k+1) box
+    return Fraction(n * bk * ctx.base.b, ak)
 
 
-def _membership_residues(ctx: AdeleContext, n: int, k: int, r: int) -> tuple[int, ...]:
-    """Residues of the level-r box holding membership_point(ctx, n, k); the
-    box's canonical corner is b H(residues) / a^r."""
+def _membership_box(ctx: AdeleContext, n: int, k: int, r: int,
+                    least: int = 0) -> tuple[tuple[int, ...], Fraction]:
+    """Residues and canonical corner b H(residues) / a^r of the level-r box
+    holding membership_point(ctx, n, k)."""
     x = membership_point(ctx, n, k)
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    return _peel(ctx.base.a, ctx.base.b, _box(ctx, x, r)[2], r)
+    ar, br = _level(ctx, r, least)
+    a, b = ctx.base.a, ctx.base.b
+    residues = _peel(a, b, _box(ctx, _coordinates(ctx, x), r, ar, br)[2], r)
+    return residues, Fraction(b * _horner(a, b, residues), ar)
 
 
 def classify_digit(ctx: AdeleContext, n: int, k: int, r: int,
@@ -397,13 +413,12 @@ def classify_digit(ctx: AdeleContext, n: int, k: int, r: int,
     box inside the tube of its own digit raises BoundaryAmbiguous: the
     level-r read cannot be trusted there and the caller should raise r.
     """
-    residues = _membership_residues(ctx, n, k, r)
+    residues, corner = _membership_box(ctx, n, k, r, 1)
     if tubes is not None:
         tube = tubes[residues[0]]
         if tube.level != r:
             raise ValueError(f"level-{tube.level} tubes for a level-{r} read")
-        a, b = ctx.base.a, ctx.base.b
-        if Fraction(b * _horner(a, b, residues), a**r) in tube.members:
+        if corner in tube.members:
             raise BoundaryAmbiguous(
                 f"point for (n={n}, k={k}) lies in the level-{r} boundary tube")
     return residues[0]
@@ -439,9 +454,9 @@ def _first_residue(a: int, b: int, u: int, r: int) -> int:
     return u % a
 
 
-def _box_certificates(a: int, b: int, c: int, r: int, rho: int) -> set[int]:
+def _box_certificates(a: int, b: int, c: int, r: int, br: int, rho: int) -> set[int]:
     """Digits d for which the box with corner c / a^r is certified safe at
-    refinement level rho.
+    refinement level rho; br = b^r.
 
     Safe means: for every point z of the closed box, the smoothed level-r
     indicator of digit d agrees with the true digit test.  Two certificates:
@@ -463,7 +478,7 @@ def _box_certificates(a: int, b: int, c: int, r: int, rho: int) -> set[int]:
     m = rho - r
     mod = a**rho
     s_min = -_tail_overhang(a, b, m)
-    u = (c * a**m + s_min * b**r) * pow(b, -rho, mod) % mod
+    u = (c * a**m + s_min * br) * pow(b, -rho, mod) % mod
     step = pow(b, -m, mod)
     present: set[int] = set()
     for _ in range(s_min, a**m + 1):
@@ -481,24 +496,23 @@ def boundary_tubes(ctx: AdeleContext, r: int, resolution: int) -> dict[int, Boun
     resolution grows.  The result is an over-approximation of the boundary
     region; only its emptiness claims are load-bearing.
     """
-    if r < 0:
-        raise ValueError("level must be >= 0")
     a, b = ctx.base.a, ctx.base.b
     if resolution <= r:
         raise ValueError("resolution must exceed the tube level")
-    _check_power(a, resolution)  # the charge below is at least a^resolution
+    # the charge below is at least a^resolution
+    ar, br = _level(ctx, r, charged=resolution)
     per_rho = sum(a ** (rho - r) + _tail_overhang(a, b, rho - r) + 2
                   for rho in range(r + 1, resolution + 1))
-    _check_budget(a**r * max(per_rho, 1))
+    _check_budget(ar * max(per_rho, 1))
     members: dict[int, set[Fraction]] = {d: set() for d in range(a)}
     for first in range(a):
         for c in _corner_numerators(a, b, r, first):
             certified: set[int] = set()
             for rho in range(r + 1, resolution + 1):
-                certified |= _box_certificates(a, b, c, r, rho)
+                certified |= _box_certificates(a, b, c, r, br, rho)
                 if len(certified) == a:
                     break
-            corner = Fraction(c, a**r)
+            corner = Fraction(c, ar)
             for d in range(a):
                 if d not in certified:
                     members[d].add(corner)
@@ -514,14 +528,10 @@ def count_boundary_hits(ctx: AdeleContext, k: int, r: int, N: int,
     """How many of the reduced points for n <= N land in tube boxes; charged N."""
     if N < 0:
         raise ValueError("N must be nonnegative")
+    if tube.level != r:
+        raise ValueError(f"level-{tube.level} tubes for a level-{r} read")
     _check_budget(N)
-    a, b = ctx.base.a, ctx.base.b
-    hits = 0
-    for n in range(1, N + 1):
-        residues = _membership_residues(ctx, n, k, r)
-        if Fraction(b * _horner(a, b, residues), a**r) in tube.members:
-            hits += 1
-    return hits
+    return sum(_membership_box(ctx, n, k, r)[1] in tube.members for n in range(1, N + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +605,10 @@ def fiber_interval(ctx: AdeleContext, c: Fraction, r: int,
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    num, n = _fiber_numerator(ctx, Fraction(c), r - 1, scheme)
-    if n < 0:  # alpha-digits at level 0: the values are multiples of b
-        b = ctx.base.b
-        return Fraction(num * b), Fraction((num + 1) * b)
-    den = ctx.base.b**n
-    return Fraction(num, den), Fraction(num + 1, den)
+    _, br = _level(ctx, r)
+    num, _ = _fiber_numerator(ctx, Fraction(c), r - 1, scheme)
+    step = ctx.base.b if scheme == "alpha-digits" else 1
+    return Fraction(num * step, br), Fraction((num + 1) * step, br)
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +626,9 @@ def cover_census(ctx: AdeleContext, z, r: int) -> tuple[int, bool]:
     is (X Q - C D) / (D Q), which must lie in [0, b^r / a^r); each z_p - C / Q
     must have valuation at least r v_p(b).
     """
-    x, xs = _coordinates(ctx, z)
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    y, q, _ = _box(ctx, z, r)
-    ar, br = ctx.base.a ** r, ctx.base.b ** r
+    x, xs = coords = _coordinates(ctx, z)
+    ar, br = _level(ctx, r)
+    y, q, _ = _box(ctx, coords, r, ar, br)
     C, Q = y * br, q * ar
     D = x.denominator
     off = x.numerator * Q - C * D

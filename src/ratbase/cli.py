@@ -21,7 +21,7 @@ from .adelic import (AdeleContext, BoundaryAmbiguous, ScaleExceeded,
                      boundary_tubes, char_tilde, classify_digit,
                      corner_of_residues, cover_census, frac_p, in_z_alpha,
                      reduce_mod_lattice, verify_residue_system, _check_budget,
-                     _check_power, _vp)
+                     _level, _vp)
 from .fourier import (coeff_f, coefficient_table, eval_urysohn_direct,
                       eval_urysohn_series, series_tail_bound)
 from .numeration import (Base, DigitWord, NotInLanguage, decode, digit, encode,
@@ -174,8 +174,8 @@ def cmd_tiles(args) -> int:
     ctx = AdeleContext(_base_of(args))
     count, translates = args.translates
     # render_tiles charges the same amount, but only once it holds the list
-    _check_power(ctx.base.a, args.r)
-    _check_budget(max(count, 1) * ctx.base.a ** args.r)
+    ar, _ = _level(ctx, args.r, charged=args.r)
+    _check_budget(max(count, 1) * ar)
     rects = render_tiles(ctx, args.r, translates, scheme=args.scheme)
     text = tiles_csv(rects) if args.format == "csv" else tiles_svg(rects)
     _write_out(args, text)
@@ -365,6 +365,9 @@ def cmd_verify(args) -> int:
     if args.cutoff < 1 and "fourier" in names:
         raise ValueError("cutoff must be positive")
     ctx = AdeleContext(_base_of(args))
+    if "boundary" in names and args.resolution is not None:
+        # the boundary suite's tubes are charged at least a^resolution
+        _level(ctx, 0, charged=args.resolution)
     failed = 0
     for name in names:
         for check, ok, detail in _SUITES[name](ctx, args):

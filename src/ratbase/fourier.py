@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .adelic import (AdeleContext, _box, _check_budget, _first_residue, _split_b,
-                     max_enum, membership_point)
+from .adelic import (AdeleContext, _box, _check_budget, _coordinates, _first_residue,
+                     _level, _split_b, max_enum, membership_point)
 
 # the constant factors of the angles, each computed as the expressions that
 # use them would compute it first, so hoisting them changes no result bit
@@ -58,13 +58,13 @@ class FourierCoefficient:
     exact: Fraction | None
 
 
-def _mode(ctx: AdeleContext, r: int, xi: Fraction) -> int | None:
-    """m = xi b^r, or None where the coefficient is exact: at xi = 0, off
-    (1/b^r) Z, and where osc = alpha^(-r) xi = m / a^r is an integer."""
-    if r < 0:
-        raise ValueError("level must be >= 0")
-    m, off = divmod(xi.numerator * ctx.base.b**r, xi.denominator)
-    return None if off or m % ctx.base.a**r == 0 else m
+def _mode(ctx: AdeleContext, r: int, xi: Fraction) -> tuple[int | None, int]:
+    """(m, a^r) for m = xi b^r, or m = None where the coefficient is exact:
+    at xi = 0, off (1/b^r) Z, and where osc = alpha^(-r) xi = m / a^r is an
+    integer."""
+    ar, br = _level(ctx, r)
+    m, off = divmod(xi.numerator * br, xi.denominator)
+    return (None if off or m % ar == 0 else m), ar
 
 
 def _chi_residue(ctx: AdeleContext, num: int, den: int) -> tuple[int, int]:
@@ -88,8 +88,7 @@ def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
     above with phase chi~(-x xi).
     """
     x, xi = Fraction(x), Fraction(xi)
-    m = _mode(ctx, r, xi)
-    ar = ctx.base.a**r
+    m, ar = _mode(ctx, r, xi)
     if m is None:
         q = Fraction(1, ar) if xi == 0 else Fraction(0)
         return FourierCoefficient(xi, complex(q), q)
@@ -117,11 +116,10 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
     a, b = ctx.base.a, ctx.base.b
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
-    m = _mode(ctx, r, xi)
+    m, ar = _mode(ctx, r, xi)
     if m is None or m % a == 0:
         q = Fraction(1, a) if xi == 0 else Fraction(0)
         return FourierCoefficient(xi, complex(q), q)
-    ar = a**r
     w = -m * pow(b, -r, ar) % ar
     value = _closed_form(m, ar, -d * w * b % a, a, _level_factor(a, b, r, w))
     return FourierCoefficient(xi, value, None)
@@ -154,9 +152,10 @@ def _level_factor(a: int, b: int, r: int, w: int,
     return factor
 
 
-def _f_values(ctx: AdeleContext, digits: Sequence[int], r: int, ms: range):
+def _f_values(ctx: AdeleContext, digits: Sequence[int], r: int, ar: int, ms: range):
     """(m, the tuple of c'_{d,r,m/b^r} over digits) for each m in ms, a
-    range of consecutive integers >= 0; callers check the digits.
+    range of consecutive integers >= 0, with ar = a^r; callers check the
+    level and the digits.
 
     w = -m b^(-r) mod a^r and the level factor depend on m only, so each is
     computed once per m for all digits.  Over len(ms) consecutive modes the
@@ -164,7 +163,6 @@ def _f_values(ctx: AdeleContext, digits: Sequence[int], r: int, ms: range):
     the level sums of those levels: fewer than 2 len(ms) of them.
     """
     a, b = ctx.base.a, ctx.base.b
-    ar = a**r
     b_inv = pow(b, -r, ar)
     sums: dict[tuple[int, int], complex] = {}
     for m in ms:
@@ -183,8 +181,7 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
     Checks the level and digits, then charges len(digits) * (max_m + 1) to
     the budget.
     """
-    if r < 0:
-        raise ValueError("level must be >= 0")
+    ar, _ = _level(ctx, r)
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     for d in digits:
@@ -192,7 +189,7 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
             raise ValueError(f"digit {d} outside alphabet")
     _check_budget(len(digits) * (max_m + 1))
     rows: list[list[str]] = [[] for _ in digits]
-    for m, values in _f_values(ctx, digits, r, range(max_m + 1)):
+    for m, values in _f_values(ctx, digits, r, ar, range(max_m + 1)):
         for row, d, v in zip(rows, digits, values):
             row.append(f"{m},{r},{d},{v.real!r},{v.imag!r},{abs(v)!r}")
     lines = ["xi_numerator,r,digit,re,im,abs"]
@@ -219,11 +216,9 @@ def eval_urysohn_direct(ctx: AdeleContext, d: int, r: int, z) -> Fraction:
     a, b = ctx.base.a, ctx.base.b
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
-    if r < 1:
-        raise ValueError("level must be >= 1")
+    ar, br = _level(ctx, r, 1)
     z = Fraction(z)
-    y, q, u = _box(ctx, z, r)
-    ar, br = a**r, b**r
+    y, q, u = _box(ctx, _coordinates(ctx, z), r, ar, br)
     # x = y h / q, so theta = z / h - y / q = t / s; the right neighbour
     # x + h has the scaled corner (y + q) / q and the class u + 1
     s = z.denominator * br * q
@@ -259,12 +254,10 @@ def series_tail_bound(ctx: AdeleContext, r: int, cutoff: int) -> float:
     Each |c_{x,r,xi}| is at most a^r / (pi^2 m^2) since |1-e(u)| <= 2, there
     are a^(r-1) corners, and sum_{m > X} m^(-2) <= 1/floor(X).
     """
-    if r < 0:
-        raise ValueError("level must be >= 0")
+    ar, _ = _level(ctx, r)
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
-    a = ctx.base.a
-    return 2.0 * a ** (2 * r - 1) / (math.pi**2 * cutoff)
+    return 2.0 * (ar * ar / ctx.base.a) / (math.pi**2 * cutoff)
 
 
 _CacheInfo = namedtuple("_CacheInfo", "hits misses lists pairs")
@@ -291,7 +284,7 @@ class _SeriesCache:
             return got
         _check_budget(cutoff)
         self.misses += 1
-        values = _f_values(ctx, (d,), r, range(1, cutoff + 1))
+        values = _f_values(ctx, (d,), r, _level(ctx, r)[0], range(1, cutoff + 1))
         got = self.lists[key] = tuple((m, c) for m, (c,) in values if c != 0)
         self.pairs += len(got)
         cap = max_enum()
@@ -318,13 +311,12 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
     a, b = ctx.base.a, ctx.base.b
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
-    if r < 0:
-        raise ValueError("level must be >= 0")
+    _, br = _level(ctx, r)
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
     z = Fraction(z)
     pairs = _series_coeffs(ctx, d, r, cutoff)
-    P, Q = _chi_residue(ctx, z.numerator, z.denominator * b**r)
+    P, Q = _chi_residue(ctx, z.numerator, z.denominator * br)
     total = 1.0 / a
     if Q <= len(pairs):
         # m P mod Q takes at most Q values: one root of unity per residue
@@ -358,6 +350,7 @@ def urysohn_pattern_estimate(ctx: AdeleContext, word: Sequence[int], k: int,
     w_lsf = tuple(reversed(tuple(word)))
     if not w_lsf or r < 1 or k < 0:
         raise ValueError("need a nonempty word, level >= 1 and k >= 0")
+    _level(ctx, r)  # refuse a level above the bound before the charge
     if N < 0:
         raise ValueError("N must be nonnegative")
     for d in w_lsf:

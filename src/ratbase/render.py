@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .adelic import (AdeleContext, _check_budget, _check_power, fiber_interval,
-                     in_z_alpha, tile_corners)
+from .adelic import (AdeleContext, _check_budget, _level, fiber_interval, in_z_alpha,
+                     tile_corners)
 
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
             "#aa3377", "#bbbbbb", "#222255", "#225555", "#552255")
@@ -44,13 +44,12 @@ def render_tiles(ctx: AdeleContext, r: int, translates: Iterable,
     for t in shifts:
         if not in_z_alpha(ctx, t):
             raise ValueError(f"translate {t} is not in Z[alpha]")
-    a = ctx.base.a
-    _check_power(a, r)
-    _check_budget(max(len(shifts), 1) * a**r)
-    width = ctx.alpha_pow(-r)
+    ar, br = _level(ctx, r, charged=r)
+    _check_budget(max(len(shifts), 1) * ar)
+    width = Fraction(br, ar)
     rects = []
     for t in shifts:
-        for d in range(a):
+        for d in range(ctx.base.a):
             for c in tile_corners(ctx, d, r):
                 cc = c + t
                 lo, hi = fiber_interval(ctx, cc, r, scheme)

@@ -408,6 +408,15 @@ class TestBoundaryTubes:
             count_boundary_hits(ctx32, 0, 2, 5000, tube)
         assert count_boundary_hits(ctx32, 0, 2, 10, tube) <= 10
 
+    def test_count_boundary_hits_refuses_a_tube_of_another_level(self, ctx32):
+        with pytest.raises(ValueError, match="level-3 tubes for a level-2 read"):
+            count_boundary_hits(ctx32, 0, 2, 300, boundary_tubes(ctx32, 3, 5)[1])
+
+    def test_classify_digit_needs_a_box_level(self, ctx32):
+        # a level-0 box carries no residue to read
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            classify_digit(ctx32, 17, 1, 0)
+
 
 class TestFibers:
     def test_alpha_digit_range(self, ctx32):

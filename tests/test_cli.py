@@ -289,6 +289,29 @@ class TestHugeLevelRefusals:
         assert took < 1.0
 
 
+class TestLevelBoundRefusals:
+    """A level above the bound (322 at 3/2) exits 3 at once, before any work."""
+
+    def test_fourier_table(self, capsys):
+        from ratbase import cli
+        start = time.perf_counter()
+        code = cli.main(["fourier", *BASE32, "--r", "100000", "--max-xi", "2"])
+        took = time.perf_counter() - start
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: level 100000 is too large: 3^100000 >= 2^511\n")
+        assert took < 1.0
+
+    def test_verify_refuses_a_huge_resolution_before_any_suite(self, capsys):
+        from ratbase import cli
+        code = cli.main(["verify", *BASE32, "--r", "2", "--N", "5",
+                         "--resolution", "100000"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: enumeration of at least 3^100000 objects exceeds cap 10000000\n"
+
+
 class TestExitCodes:
     def test_usage_error_on_bad_base(self):
         assert run_cli("encode", "--a", "4", "--b", "2", "5").returncode == 64

@@ -1,6 +1,7 @@
 """Fourier data: closed forms vs quadrature, exact vanishing, series sums."""
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from ratbase import (
     corner_of_residues,
     eval_urysohn_direct,
     eval_urysohn_series,
+    locate_box,
     series_tail_bound,
     urysohn_pattern_estimate,
 )
@@ -450,3 +452,38 @@ class TestIntegerFourierTables:
             finally:
                 tracemalloc.stop()
             assert peak < 256 * 1024
+
+
+class TestLevelBound:
+    """A level is accepted while a^r < 2^511: up to 322 at 3/2, 153 at 10/1."""
+
+    @pytest.mark.parametrize("call", [
+        lambda ctx, r: locate_box(ctx, Fraction(7, 5), r),
+        lambda ctx, r: coeff_f(ctx, 1, r, Fraction(1, 2**r)),
+        lambda ctx, r: eval_urysohn_series(ctx, 1, r, Fraction(1, 3), 5),
+        lambda ctx, r: math.isfinite(series_tail_bound(ctx, r, 1)),
+    ], ids=["locate_box", "coeff_f", "series", "tail_bound"])
+    def test_largest_level_and_the_next(self, ctx32, call):
+        assert call(ctx32, 322)
+        with pytest.raises(ScaleExceeded, match=r"^level 323 is too large: 3\^323 >= 2\^511$"):
+            call(ctx32, 323)
+
+    def test_largest_level_at_base_ten(self):
+        ctx = AdeleContext(Base(10, 1))
+        assert locate_box(ctx, Fraction(7, 5), 153).level == 153
+        with pytest.raises(ScaleExceeded):
+            locate_box(ctx, Fraction(7, 5), 154)
+
+    def test_series_is_refused_before_its_charge(self, ctx32):
+        before = _series_coeffs.cache_info()
+        with pytest.raises(ScaleExceeded, match="^level 400 "):
+            eval_urysohn_series(ctx32, 1, 400, 0, 5)
+        assert _series_coeffs.cache_info() == before
+
+    def test_huge_level_is_refused_at_once(self, ctx32):
+        start = time.perf_counter()
+        with pytest.raises(ScaleExceeded):
+            locate_box(ctx32, Fraction(7, 5), 10**5)
+        with pytest.raises(ScaleExceeded):
+            coefficient_table(ctx32, [0, 1, 2], 10**5, 2)
+        assert time.perf_counter() - start < 1.0
