@@ -105,15 +105,15 @@ def _level(ctx: AdeleContext, r: int, least: int = 0,
     """
     if r < least:
         raise ValueError(f"level must be >= {least}")
-    a = ctx.base.a
+    base = ctx.base
     if charged is not None and charged > max_enum().bit_length():
         raise ScaleExceeded(
-            f"enumeration of at least {a}^{charged} objects exceeds cap {max_enum()}")
+            f"enumeration of at least {base.a}^{charged} objects exceeds cap {max_enum()}")
     if r < _LEVEL_BITS:
-        ar = a**r
+        ar = base.a**r
         if ar.bit_length() <= _LEVEL_BITS:
-            return ar, ctx.base.b**r
-    raise ScaleExceeded(f"level {r} is too large: {a}^{r} >= 2^{_LEVEL_BITS}")
+            return ar, base.b**r
+    raise ScaleExceeded(f"level {r} is too large: {base.a}^{r} >= 2^{_LEVEL_BITS}")
 
 
 @dataclass(frozen=True, eq=True)

@@ -58,13 +58,12 @@ class FourierCoefficient:
     exact: Fraction | None
 
 
-def _mode(ctx: AdeleContext, r: int, xi: Fraction) -> tuple[int | None, int]:
-    """(m, a^r) for m = xi b^r, or m = None where the coefficient is exact:
-    at xi = 0, off (1/b^r) Z, and where osc = alpha^(-r) xi = m / a^r is an
-    integer."""
-    ar, br = _level(ctx, r)
+def _mode(xi: Fraction, ar: int, br: int) -> int | None:
+    """m = xi b^r, or None where the coefficient is exact: at xi = 0, off
+    (1/b^r) Z, and where osc = alpha^(-r) xi = m / a^r is an integer;
+    ar, br = a^r, b^r."""
     m, off = divmod(xi.numerator * br, xi.denominator)
-    return (None if off or m % ar == 0 else m), ar
+    return None if off or m % ar == 0 else m
 
 
 def _chi_residue(ctx: AdeleContext, num: int, den: int) -> tuple[int, int]:
@@ -88,7 +87,8 @@ def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
     above with phase chi~(-x xi).
     """
     x, xi = Fraction(x), Fraction(xi)
-    m, ar = _mode(ctx, r, xi)
+    ar, br = _level(ctx, r)
+    m = _mode(xi, ar, br)
     if m is None:
         q = Fraction(1, ar) if xi == 0 else Fraction(0)
         return FourierCoefficient(xi, complex(q), q)
@@ -116,7 +116,8 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
     a, b = ctx.base.a, ctx.base.b
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
-    m, ar = _mode(ctx, r, xi)
+    ar, br = _level(ctx, r)
+    m = _mode(xi, ar, br)
     if m is None or m % a == 0:
         q = Fraction(1, a) if xi == 0 else Fraction(0)
         return FourierCoefficient(xi, complex(q), q)
@@ -311,12 +312,12 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
     a, b = ctx.base.a, ctx.base.b
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
-    _, br = _level(ctx, r)
-    if cutoff < 1:
-        raise ValueError("cutoff must be positive")
+    tail_bound = series_tail_bound(ctx, r, cutoff)  # checks the level and cutoff
     z = Fraction(z)
     pairs = _series_coeffs(ctx, d, r, cutoff)
-    P, Q = _chi_residue(ctx, z.numerator, z.denominator * br)
+    # chi~(z) = e(P / Q) with Q prime to b, so chi~(z / b^r) = e(P b^(-r) / Q)
+    P, Q = _chi_residue(ctx, z.numerator, z.denominator)
+    P = P * pow(b, -r, Q) % Q
     total = 1.0 / a
     if Q <= len(pairs):
         # m P mod Q takes at most Q values: one root of unity per residue
@@ -329,8 +330,7 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
             ang = _TWO_PI * ((m * P) % Q) / Q
             w = complex(math.cos(ang), math.sin(ang))
             total += 2.0 * (c * w).real
-    trunc = SeriesTruncation(cutoff=cutoff, terms=2 * cutoff + 1,
-                             tail_bound=series_tail_bound(ctx, r, cutoff))
+    trunc = SeriesTruncation(cutoff=cutoff, terms=2 * cutoff + 1, tail_bound=tail_bound)
     return SeriesEval(value=total, truncation=trunc)
 
 
