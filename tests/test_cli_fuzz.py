@@ -79,7 +79,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@seed(18)
+@seed(0)
 @settings(max_examples=120, database=None, deadline=None)
 @given(argvs())
 def test_level_flags_exit_cleanly(argv):
