@@ -23,7 +23,7 @@ from .adelic import (AdeleContext, BoundaryAmbiguous, ScaleExceeded,
                      reduce_mod_lattice, verify_residue_system, _check_budget,
                      _level, _vp)
 from .fourier import (coeff_f, coefficient_table, eval_urysohn_direct,
-                      eval_urysohn_series, series_tail_bound)
+                      eval_urysohn_series, series_tail_bound, _fill_charge)
 from .numeration import (Base, DigitWord, NotInLanguage, decode, digit, encode,
                          format_digits)
 from .patterns import (Pattern, asymptotic_report, champernowne_prefix_array,
@@ -195,7 +195,6 @@ def cmd_fourier(args) -> int:
 
 
 def _suite_tiling(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
-    _check_budget(args.N)
     a = ctx.base.a
     r = args.r
     out = []
@@ -225,7 +224,6 @@ def _suite_tiling(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
 
 def _suite_character(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
     n = args.N
-    _check_budget(3 * n)  # three checks of n samples each
     rng = random.Random(args.seed)
     out = []
     bad = 0
@@ -307,6 +305,9 @@ def _suite_fourier(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
     return out
 
 
+_BOUNDARY_POINTS = 2000  # the most digit reads the boundary suite makes
+
+
 def _suite_boundary(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
     a = ctx.base.a
     r = min(args.r, 4)
@@ -326,8 +327,7 @@ def _suite_boundary(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
     levels = list(range(2, r + 3))
     tubes = {rr: boundary_tubes(ctx, rr, rr + 2) for rr in levels}
     mism = escal = unresolved = 0
-    n_pts = min(args.N, 2000)
-    _check_budget(n_pts)
+    n_pts = min(args.N, _BOUNDARY_POINTS)
     for _ in range(n_pts):
         n = rng.randrange(1, 10**5)
         k = rng.randrange(0, 5)
@@ -368,6 +368,16 @@ def cmd_verify(args) -> int:
     if "boundary" in names and args.resolution is not None:
         # the boundary suite's tubes are charged at least a^resolution
         _level(ctx, 0, charged=args.resolution)
+    # every selected suite's charge, before the first suite runs
+    charges = {
+        "tiling": args.N,
+        "character": 3 * args.N,  # three checks of N samples each
+        # the fourier suite's series, at its level min(r, 3)
+        "fourier": _fill_charge(ctx.base.a, min(args.r, 3), args.cutoff),
+        "boundary": min(args.N, _BOUNDARY_POINTS),
+    }
+    for name in names:
+        _check_budget(charges[name])
     failed = 0
     for name in names:
         for check, ok, detail in _SUITES[name](ctx, args):

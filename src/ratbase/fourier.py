@@ -23,6 +23,13 @@ makes b invertible there), and the diagonal character of a rational point
 is read as a residue P mod Q.  A coefficient's value is evaluated to
 floating point once, from those integers, when the coefficient is built;
 Fraction is the type of the exact results.
+
+The level sums sum_{e<a} e(-e c_k / a^k) that a coefficient multiplies
+depend on (a, a^k, c_k) only.  Those of the levels with a^k <= 2^12 are
+kept for the life of the process in one table that coeff_f, the tables and
+the series all read, filled as calls first ask for them: at most a^k sums
+per level, 8188 at a = 2.  A sum is the same expression whether it is
+computed or read, so every value is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -86,7 +93,10 @@ def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
     Exact a^(-r) at xi = 0; zero off (1/b^r) Z; otherwise the closed form
     above with phase chi~(-x xi).
     """
-    x, xi = Fraction(x), Fraction(xi)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    if type(xi) is not Fraction:
+        xi = Fraction(xi)
     ar, br = _level(ctx, r)
     m = _mode(xi, ar, br)
     if m is None:
@@ -112,7 +122,8 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
     an integer or, at the level k with a^(k-1) || m, e(-t_k) is a
     nontrivial a-th root of unity.
     """
-    xi = Fraction(xi)
+    if type(xi) is not Fraction:
+        xi = Fraction(xi)
     a, b = ctx.base.a, ctx.base.b
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
@@ -131,24 +142,48 @@ def _level_sum(a: int, ak: int, c: int) -> complex:
     return sum([cmath.exp(_NEG_TWO_PI_J * ((e * c % ak) / ak)) for e in range(a)])
 
 
+# The level sums of every level with a^k <= _TABLE_TOP, by (a, a^k, c_k),
+# shared by all calls and filled as they ask for them: a level k holds at
+# most a^k sums, so at most 3276 at a = 3 and 8188 at a = 2.  a is in the
+# key because a^k alone does not name the level (81 = 3^4 = 9^2).
+_TABLE_TOP = 1 << 12
+_level_sums: dict[tuple[int, int, int], complex] = {}
+
+
+def _fill_charge(a: int, r: int, rows: int) -> int:
+    """rows * (1 + L), the budget charge of rows level-r coefficients: L
+    counts the levels k in 2..r with a^k above _TABLE_TOP, whose sums each
+    mode computes anew (a exponentials each), where a tabled level is a
+    lookup."""
+    k, ak = 2, a * a
+    while ak <= _TABLE_TOP:
+        k, ak = k + 1, ak * a
+    return rows * (1 + max(0, r - k + 1))
+
+
 def _level_factor(a: int, b: int, r: int, w: int,
-                  sums: dict | None = None, top: int = 0) -> complex:
+                  own: dict | None = None, top: int = 0) -> complex:
     """prod_{k=2..r} _level_sum(a, a^k, c_k) with c_k = w b^k mod a^k.
 
-    A level sum depends on (a^k, c_k) only; the sums of levels with
-    a^k < top are looked up in, and added to, `sums` under that key.
+    A level sum depends on (a, a^k, c_k) only.  The sums of levels with
+    a^k <= _TABLE_TOP are read from, and added to, _level_sums; those of
+    the levels above it with a^k < top are kept in the caller's `own`.
     """
     factor = complex(1.0)
     ak, bk = a, b
     for _ in range(2, r + 1):
         ak, bk = ak * a, bk * b
         c = w * bk % ak
-        if ak < top:
-            s = sums.get((ak, c))
-            if s is None:
-                s = sums[ak, c] = _level_sum(a, ak, c)
+        if ak <= _TABLE_TOP:
+            sums = _level_sums
+        elif ak < top:
+            sums = own
         else:
-            s = _level_sum(a, ak, c)
+            factor *= _level_sum(a, ak, c)
+            continue
+        s = sums.get((a, ak, c))
+        if s is None:
+            s = sums[a, ak, c] = _level_sum(a, ak, c)
         factor *= s
     return factor
 
@@ -161,17 +196,17 @@ def _f_values(ctx: AdeleContext, digits: Sequence[int], r: int, ar: int, ms: ran
     w = -m b^(-r) mod a^r and the level factor depend on m only, so each is
     computed once per m for all digits.  Over len(ms) consecutive modes the
     residues c_k mod a^k repeat only where a^k < len(ms), so the call keeps
-    the level sums of those levels: fewer than 2 len(ms) of them.
+    the level sums of those levels above _TABLE_TOP: fewer than 2 len(ms).
     """
     a, b = ctx.base.a, ctx.base.b
     b_inv = pow(b, -r, ar)
-    sums: dict[tuple[int, int], complex] = {}
+    own: dict[tuple[int, int, int], complex] = {}
     for m in ms:
         if r == 0 or m % a == 0:
             yield m, (complex(1 / a) if m == 0 else 0j,) * len(digits)
             continue
         w = -m * b_inv % ar  # t_k = (w b^k mod a^k) / a^k
-        factor = _level_factor(a, b, r, w, sums, len(ms))
+        factor = _level_factor(a, b, r, w, own, len(ms))
         yield m, tuple(_closed_form(m, ar, -d * w * b % a, a, factor) for d in digits)
 
 
@@ -179,8 +214,8 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
                       max_m: int) -> str:
     """CSV of c'_{d,r,m/b^r} for m = 0..max_m, one row per (digit, m).
 
-    Checks the level and digits, then charges len(digits) * (max_m + 1) to
-    the budget.
+    Checks the level and digits, then charges the _fill_charge of its
+    len(digits) * (max_m + 1) rows to the budget.
     """
     ar, _ = _level(ctx, r)
     if max_m < 0:
@@ -188,7 +223,7 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
     for d in digits:
         if not 0 <= d < ctx.base.a:
             raise ValueError(f"digit {d} outside alphabet")
-    _check_budget(len(digits) * (max_m + 1))
+    _check_budget(_fill_charge(ctx.base.a, r, len(digits) * (max_m + 1)))
     rows: list[list[str]] = [[] for _ in digits]
     for m, values in _f_values(ctx, digits, r, ar, range(max_m + 1)):
         for row, d, v in zip(rows, digits, values):
@@ -218,7 +253,8 @@ def eval_urysohn_direct(ctx: AdeleContext, d: int, r: int, z) -> Fraction:
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
     ar, br = _level(ctx, r, 1)
-    z = Fraction(z)
+    if type(z) is not Fraction:
+        z = Fraction(z)
     y, q, u = _box(ctx, _coordinates(ctx, z), r, ar, br)
     # x = y h / q, so theta = z / h - y / q = t / s; the right neighbour
     # x + h has the scaled corner (y + q) / q and the class u + 1
@@ -276,14 +312,15 @@ class _SeriesCache:
                  cutoff: int) -> tuple[tuple[int, complex], ...]:
         """The nonzero c'_{d,r,m/b^r} for m = 1..cutoff as (m, value) pairs.
 
-        Charged cutoff coefficients against the budget on a cache miss.
+        Charged the _fill_charge of cutoff coefficients against the budget
+        on a cache miss.
         """
         key = (ctx, d, r, cutoff)
         got = self.lists.get(key)
         if got is not None:
             self.hits += 1
             return got
-        _check_budget(cutoff)
+        _check_budget(_fill_charge(ctx.base.a, r, cutoff))
         self.misses += 1
         values = _f_values(ctx, (d,), r, _level(ctx, r)[0], range(1, cutoff + 1))
         got = self.lists[key] = tuple((m, c) for m, (c,) in values if c != 0)
@@ -313,7 +350,8 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
     if not 0 <= d < a:
         raise ValueError(f"digit {d} outside alphabet")
     tail_bound = series_tail_bound(ctx, r, cutoff)  # checks the level and cutoff
-    z = Fraction(z)
+    if type(z) is not Fraction:
+        z = Fraction(z)
     pairs = _series_coeffs(ctx, d, r, cutoff)
     # chi~(z) = e(P / Q) with Q prime to b, so chi~(z / b^r) = e(P b^(-r) / Q)
     P, Q = _chi_residue(ctx, z.numerator, z.denominator)

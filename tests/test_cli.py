@@ -252,6 +252,16 @@ class TestVerifyCommand:
         assert r.returncode == 0
         assert "FAIL" not in r.stdout
 
+    def test_every_suite_is_charged_before_the_first_runs(self, capsys, monkeypatch):
+        # the tiling suite's 10^5 samples fit the cap, the character
+        # suite's 3 x 10^5 do not
+        from ratbase import cli
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "200000")
+        code = cli.main(["verify", *BASE32, "--N", "100000", "--seed", "7"])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: enumeration of 300000 objects exceeds cap 200000\n")
+
     def test_sample_budget_exit_code(self):
         for suite in ("tiling", "character"):
             r = run_cli("verify", *BASE32, "--suite", suite, "--r", "2", "--N", "20000",
@@ -300,6 +310,17 @@ class TestLevelBoundRefusals:
         assert code == 3
         assert capsys.readouterr() == (
             "", "error: level 100000 is too large: 3^100000 >= 2^511\n")
+        assert took < 1.0
+
+    def test_fourier_table_is_charged_its_untabled_levels(self, capsys):
+        # 100001 rows times 1 + 315 levels above the shared table's bound
+        from ratbase import cli
+        start = time.perf_counter()
+        code = cli.main(["fourier", *BASE32, "--r", "322", "--max-xi", "100000", "--d", "1"])
+        took = time.perf_counter() - start
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: enumeration of 31600316 objects exceeds cap 10000000\n")
         assert took < 1.0
 
     def test_verify_refuses_a_huge_resolution_before_any_suite(self, capsys):

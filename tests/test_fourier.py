@@ -22,7 +22,8 @@ from ratbase import (
     series_tail_bound,
     urysohn_pattern_estimate,
 )
-from ratbase.fourier import _series_coeffs
+from ratbase import fourier
+from ratbase.fourier import _TABLE_TOP, _SeriesCache, _fill_charge, _series_coeffs
 from helpers import (ORACLE_BASES, coeff_f_ref, coeff_f_sum, coeff_g_quadrature,
                      coeff_g_ref, random_rational, urysohn_bruteforce,
                      urysohn_series_ref)
@@ -326,6 +327,21 @@ class TestBudget:
         eval_urysohn_series(ctx32, 0, 2, Fraction(1, 3), cutoff=90)
         assert _series_coeffs.cache_info().misses == misses + 1
 
+    def test_fills_are_charged_their_untabled_levels(self, ctx32, monkeypatch):
+        # at 3/2 the levels with 3^k <= 4096 are k <= 7; r = 9 adds two
+        assert [_fill_charge(3, r, 10) for r in (0, 1, 2, 7, 8, 9, 322)] == \
+            [10, 10, 10, 10, 20, 30, 3160]
+        assert [_fill_charge(2, r, 10) for r in (12, 13)] == [10, 20]
+        assert [_fill_charge(65, r, 10) for r in (1, 2, 3)] == [10, 20, 30]
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
+        with pytest.raises(ScaleExceeded, match="^enumeration of 1002 objects"):
+            coefficient_table(ctx32, [0], 9, 333)
+        assert coefficient_table(ctx32, [0], 9, 332).count("\n") == 1 + 333
+        monkeypatch.setattr(fourier, "_series_coeffs", _SeriesCache())
+        with pytest.raises(ScaleExceeded, match="^enumeration of 1002 objects"):
+            eval_urysohn_series(ctx32, 1, 9, Fraction(1, 3), cutoff=334)
+        assert eval_urysohn_series(ctx32, 1, 9, Fraction(1, 3), cutoff=333).truncation.terms == 667
+
     def test_estimate_is_charged_its_point_values(self, ctx32, monkeypatch):
         monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
         with pytest.raises(ScaleExceeded):
@@ -441,8 +457,9 @@ class TestIntegerFourierTables:
             tracemalloc.stop()
         assert peak < 64 * 1024
         assert repr(value) == repr(coeff_f_ref(ctx, 3, 8, xi).value)
-        # a table or a series fill keeps only level sums of levels with
-        # a^k below its number of modes, 200 here
+        # a table or a series fill adds to the shared table only the sums of
+        # levels with a^k <= 4096, and keeps its own only of the levels above
+        # with a^k below its number of modes, 200 here
         for call in (lambda: coefficient_table(ctx, [3], 8, 200),
                      lambda: eval_urysohn_series(ctx, 3, 8, Fraction(1, 7), 200)):
             tracemalloc.start()
@@ -452,6 +469,41 @@ class TestIntegerFourierTables:
             finally:
                 tracemalloc.stop()
             assert peak < 256 * 1024
+
+
+class TestLevelSumTable:
+    """The level sums that every call shares, by (a, a^k, c_k)."""
+
+    def test_levels_of_equal_size_in_two_bases(self, monkeypatch):
+        # a^k = 81 is level 2 at 9/2 and level 4 at 3/2, and the same m gives
+        # both the residue c = -m mod 81 there
+        ctx92, ctx32 = AdeleContext(Base(9, 2)), AdeleContext(Base(3, 2))
+        calls = [(ctx, d, r, Fraction(m, 2**r)) for ctx, r in ((ctx92, 2), (ctx32, 4))
+                 for m in range(1, 81) if m % 3 for d in (0, 1, 2)]
+        for order in (calls, calls[::-1]):
+            monkeypatch.setattr(fourier, "_level_sums", {})
+            for call in order:
+                assert repr(coeff_f(*call).value) == repr(coeff_f_ref(*call).value), call
+            assert {(a, ak) for a, ak, _ in fourier._level_sums} >= {(9, 81), (3, 81)}
+
+    def test_cold_and_warm_calls_agree(self, ctx32, monkeypatch):
+        def outputs():
+            monkeypatch.setattr(fourier, "_series_coeffs", _SeriesCache())
+            return (repr(coeff_f(ctx32, 1, 6, Fraction(7, 2**6)).value),
+                    coefficient_table(ctx32, [0, 1, 2], 5, 300),
+                    repr(eval_urysohn_series(ctx32, 2, 4, Fraction(5, 7), 200).value))
+
+        monkeypatch.setattr(fourier, "_level_sums", {})
+        cold = outputs()
+        assert fourier._level_sums
+        assert outputs() == cold
+
+    def test_holds_no_level_above_its_bound(self, ctx32, monkeypatch):
+        monkeypatch.setattr(fourier, "_level_sums", {})
+        coefficient_table(ctx32, [1], 12, 3000)
+        sizes = {ak for _, ak, _ in fourier._level_sums}
+        assert sizes == {3**k for k in range(2, 8)}
+        assert max(sizes) <= _TABLE_TOP < 3**8
 
 
 class TestLevelBound:
