@@ -488,6 +488,16 @@ def _box_certificates(a: int, b: int, c: int, r: int, br: int, rho: int) -> set[
     return digits if len(present) == 1 else digits - present
 
 
+def _tube_charge(ctx: AdeleContext, r: int, resolution: int) -> int:
+    """The charge of boundary_tubes(ctx, r, resolution), at least a^resolution:
+    each of the a^r boxes pays a^m + floor(W b^m) + 2 at each refinement
+    level rho = r + m, about the rho-corners it reads."""
+    a, b = ctx.base.a, ctx.base.b
+    ar, _ = _level(ctx, r, charged=resolution)
+    return ar * sum(a ** (rho - r) + _tail_overhang(a, b, rho - r) + 2
+                    for rho in range(r + 1, resolution + 1))
+
+
 def boundary_tubes(ctx: AdeleContext, r: int, resolution: int) -> dict[int, BoundaryTube]:
     """Boundary tubes for every digit at level r, refined up to `resolution`.
 
@@ -499,11 +509,8 @@ def boundary_tubes(ctx: AdeleContext, r: int, resolution: int) -> dict[int, Boun
     a, b = ctx.base.a, ctx.base.b
     if resolution <= r:
         raise ValueError("resolution must exceed the tube level")
-    # the charge below is at least a^resolution
-    ar, br = _level(ctx, r, charged=resolution)
-    per_rho = sum(a ** (rho - r) + _tail_overhang(a, b, rho - r) + 2
-                  for rho in range(r + 1, resolution + 1))
-    _check_budget(ar * max(per_rho, 1))
+    _check_budget(_tube_charge(ctx, r, resolution))
+    ar, br = _level(ctx, r)
     members: dict[int, set[Fraction]] = {d: set() for d in range(a)}
     for first in range(a):
         for c in _corner_numerators(a, b, r, first):

@@ -15,13 +15,13 @@ import random
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .adelic import (AdeleContext, BoundaryAmbiguous, ScaleExceeded,
                      boundary_tubes, char_tilde, classify_digit,
                      corner_of_residues, cover_census, frac_p, in_z_alpha,
                      reduce_mod_lattice, verify_residue_system, _check_budget,
-                     _level, _vp)
+                     _level, _tube_charge, _vp)
 from .fourier import (coeff_f, coefficient_table, eval_urysohn_direct,
                       eval_urysohn_series, series_tail_bound, _fill_charge)
 from .numeration import (Base, DigitWord, NotInLanguage, decode, digit, encode,
@@ -192,17 +192,19 @@ def cmd_fourier(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verification suites
+#
+# A suite is a generator.  Its plan checks its arguments, fixes its sizes and
+# yields the list of its charges; then it yields (check, ok, detail) per check.
 
 
-def _suite_tiling(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
-    a = ctx.base.a
-    r = args.r
-    out = []
+def _suite_tiling(ctx: AdeleContext, args) -> Iterator:
+    a, r, n_pts = ctx.base.a, args.r, args.N
+    # no level gate here, which would refuse a huge --r before a later suite's
+    # usage error: the residue system, run first, charges a^r itself
+    yield [n_pts]
     ok = verify_residue_system(ctx, r)
-    out.append((f"residue_system r={r}", ok,
-                f"{a**r} distinct" if ok else "collision"))
+    yield (f"residue_system r={r}", ok, f"{a**r} distinct" if ok else "collision")
     rng = random.Random(args.seed)
-    n_pts = args.N
     faces = bad = 0
     for i in range(n_pts):
         if i % 10 == 0:
@@ -217,15 +219,14 @@ def _suite_tiling(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
             bad += 1
             continue
         faces += flagged
-    out.append((f"box_cover r={r}", bad == 0,
-                f"{n_pts} points, {faces} on faces" if bad == 0 else f"{bad} bad"))
-    return out
+    yield (f"box_cover r={r}", bad == 0,
+           f"{n_pts} points, {faces} on faces" if bad == 0 else f"{bad} bad")
 
 
-def _suite_character(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
+def _suite_character(ctx: AdeleContext, args) -> Iterator:
     n = args.N
+    yield [3 * n]  # three checks of n samples each
     rng = random.Random(args.seed)
-    out = []
     bad = 0
     for _ in range(n):
         x = Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**6))
@@ -240,7 +241,7 @@ def _suite_character(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
                 bad += 1
             if x != t and _vp(p, x - t) < 0:
                 bad += 1
-    out.append(("padic_fractional", bad == 0, f"{n} samples" if bad == 0 else f"{bad} bad"))
+    yield ("padic_fractional", bad == 0, f"{n} samples" if bad == 0 else f"{bad} bad")
     bad = 0
     b = ctx.base.b
     for i in range(n):
@@ -251,7 +252,7 @@ def _suite_character(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
         trivial = abs(char_tilde(ctx, xi) - 1) < 1e-9
         if trivial != in_z_alpha(ctx, xi):
             bad += 1
-    out.append(("character_kernel", bad == 0, f"{n} samples" if bad == 0 else f"{bad} bad"))
+    yield ("character_kernel", bad == 0, f"{n} samples" if bad == 0 else f"{bad} bad")
     bad = 0
     for _ in range(n):
         z = Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**6))
@@ -264,16 +265,19 @@ def _suite_character(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
             v = res.padic[p]
             if v != 0 and _vp(p, v) < 0:
                 bad += 1
-    out.append(("lattice_reduction", bad == 0, f"{n} samples" if bad == 0 else f"{bad} bad"))
-    return out
+    yield ("lattice_reduction", bad == 0, f"{n} samples" if bad == 0 else f"{bad} bad")
 
 
-def _suite_fourier(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
+def _suite_fourier(ctx: AdeleContext, args) -> Iterator:
     a, b = ctx.base.a, ctx.base.b
-    r = min(args.r, 4)
-    out = []
+    r, rf, cutoff = min(args.r, 4), min(args.r, 3), args.cutoff
+    if r == 0:
+        raise ValueError("the fourier suite needs --r >= 1")
+    if cutoff < 1:
+        raise ValueError("cutoff must be positive")
+    yield [_fill_charge(a, rf, cutoff)]  # its series, at level rf
     ok = all(coeff_f(ctx, d, r, 0).exact == Fraction(1, a) for d in range(a))
-    out.append((f"zero_mode r={r}", ok, f"1/{a} at xi=0"))
+    yield (f"zero_mode r={r}", ok, f"1/{a} at xi=0")
     br = b**r
     bad = 0
     checked = 0
@@ -284,10 +288,8 @@ def _suite_fourier(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
         checked += 1
         if c.exact != 0 and abs(c.value) > 1e-12:
             bad += 1
-    out.append((f"vanishing r={r}", bad == 0, f"{checked} frequencies"))
+    yield (f"vanishing r={r}", bad == 0, f"{checked} frequencies")
     rng = random.Random(args.seed)
-    cutoff = args.cutoff
-    rf = min(args.r, 3)
     tb = series_tail_bound(ctx, rf, cutoff)
     worst = 0.0
     bad = 0
@@ -300,34 +302,34 @@ def _suite_fourier(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
         worst = max(worst, err)
         if err > tb + 1e-9:
             bad += 1
-    out.append((f"series_vs_direct r={rf}", bad == 0,
-                f"max err {worst:.2e} <= bound {tb:.2e}"))
-    return out
+    yield (f"series_vs_direct r={rf}", bad == 0,
+           f"max err {worst:.2e} <= bound {tb:.2e}")
 
 
-_BOUNDARY_POINTS = 2000  # the most digit reads the boundary suite makes
-
-
-def _suite_boundary(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
+def _suite_boundary(ctx: AdeleContext, args) -> Iterator:
     a = ctx.base.a
     r = min(args.r, 4)
+    if r == 0:
+        raise ValueError("the boundary suite needs --r >= 1")
     res_hi = args.resolution if args.resolution is not None else r + 3
     if res_hi <= r + 1:
         res_hi = r + 2
-    out = []
+    levels = list(range(2, r + 3))
+    n_pts = min(args.N, 2000)  # the most digit reads the suite makes
+    # every tube build below is charged here, and a huge resolution refused
+    yield [n_pts, _tube_charge(ctx, r, r + 1), _tube_charge(ctx, r, res_hi),
+           *(_tube_charge(ctx, rr, rr + 2) for rr in levels)]
     t_lo = boundary_tubes(ctx, r, r + 1)
     t_hi = boundary_tubes(ctx, r, res_hi)
     mono = all(t_hi[d].members <= t_lo[d].members for d in range(a))
-    out.append((f"tube_monotone r={r}", mono,
-                f"resolution {r + 1} -> {res_hi} only removes boxes"))
+    yield (f"tube_monotone r={r}", mono,
+           f"resolution {r + 1} -> {res_hi} only removes boxes")
     sizes = [len(t_hi[d].members) for d in range(a)]
     capped = all(s < a**r for s in sizes)
-    out.append((f"tube_cap r={r}", capped, f"sizes {sizes} < {a**r}"))
+    yield (f"tube_cap r={r}", capped, f"sizes {sizes} < {a**r}")
     rng = random.Random(args.seed)
-    levels = list(range(2, r + 3))
     tubes = {rr: boundary_tubes(ctx, rr, rr + 2) for rr in levels}
     mism = escal = unresolved = 0
-    n_pts = min(args.N, _BOUNDARY_POINTS)
     for _ in range(n_pts):
         n = rng.randrange(1, 10**5)
         k = rng.randrange(0, 5)
@@ -343,10 +345,9 @@ def _suite_boundary(ctx: AdeleContext, args) -> list[tuple[str, bool, str]]:
             unresolved += 1
         elif got != truth:
             mism += 1
-    out.append(("digit_reads", mism == 0,
-                f"{n_pts} points, {escal} escalations, {unresolved} unresolved, "
-                f"{mism} mismatches"))
-    return out
+    yield ("digit_reads", mism == 0,
+           f"{n_pts} points, {escal} escalations, {unresolved} unresolved, "
+           f"{mism} mismatches")
 
 
 _SUITES = {
@@ -359,28 +360,16 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    boxed = [name for name in names if name in ("fourier", "boundary")]
-    if args.r == 0 and boxed:
-        raise ValueError(f"the {boxed[0]} suite needs --r >= 1")
-    if args.cutoff < 1 and "fourier" in names:
-        raise ValueError("cutoff must be positive")
     ctx = AdeleContext(_base_of(args))
-    if "boundary" in names and args.resolution is not None:
-        # the boundary suite's tubes are charged at least a^resolution
-        _level(ctx, 0, charged=args.resolution)
-    # every selected suite's charge, before the first suite runs
-    charges = {
-        "tiling": args.N,
-        "character": 3 * args.N,  # three checks of N samples each
-        # the fourier suite's series, at its level min(r, 3)
-        "fourier": _fill_charge(ctx.base.a, min(args.r, 3), args.cutoff),
-        "boundary": min(args.N, _BOUNDARY_POINTS),
-    }
-    for name in names:
-        _check_budget(charges[name])
+    suites = [_SUITES[name](ctx, args) for name in names]
+    # every plan runs, so a usage error in any suite comes before a refusal,
+    # and every charge is checked before the first suite runs
+    charges = [charge for suite in suites for charge in next(suite)]
+    for charge in charges:
+        _check_budget(charge)
     failed = 0
-    for name in names:
-        for check, ok, detail in _SUITES[name](ctx, args):
+    for suite in suites:
+        for check, ok, detail in suite:
             print(f"{check}: {'PASS' if ok else 'FAIL'} ({detail})")
             if not ok:
                 failed += 1

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 from .adelic import (AdeleContext, _check_budget, _level, fiber_interval, in_z_alpha,
                      tile_corners)
 
+# SVG scale: pixels per real unit, the fiber axis's height, and the margin
+_PX_PER_UNIT, _FIBER_PX, _PAD = 160, 360, 12
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
             "#aa3377", "#bbbbbb", "#222255", "#225555", "#552255")
 
@@ -66,8 +68,7 @@ def tiles_csv(rects: Sequence[TileRect]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tiles_svg(rects: Sequence[TileRect], px_per_unit: int = 160,
-              fiber_px: int = 360, pad: int = 12) -> str:
+def tiles_svg(rects: Sequence[TileRect]) -> str:
     """Deterministic SVG: one rect per box, colored by digit class.
 
     The real axis runs left to right, the fiber axis bottom to top.  All
@@ -91,15 +92,15 @@ def tiles_svg(rects: Sequence[TileRect], px_per_unit: int = 160,
     y1 = max(over(R.fiber_hi, dy) for R in rects)
     # on a flat fiber range every y offset is 0, so any scale will do
     span = (y1 - y0) or 1
-    width = (x1 - x0) * px_per_unit / dx + 2 * pad
-    height = (y1 - y0) * fiber_px / span + 2 * pad
+    width = (x1 - x0) * _PX_PER_UNIT / dx + 2 * _PAD
+    height = (y1 - y0) * _FIBER_PX / span + 2 * _PAD
 
     def fx(v: Fraction) -> str:
-        return format((over(v, dx) - x0) * px_per_unit / dx + pad, ".3f")
+        return format((over(v, dx) - x0) * _PX_PER_UNIT / dx + _PAD, ".3f")
 
     def fy(v: Fraction) -> str:
         # flip: larger fiber values sit higher on the canvas
-        return format((y1 - over(v, dy)) * fiber_px / span + pad, ".3f")
+        return format((y1 - over(v, dy)) * _FIBER_PX / span + _PAD, ".3f")
 
     digits = sorted({R.digit for R in rects})
     style = "".join(
@@ -110,8 +111,8 @@ def tiles_svg(rects: Sequence[TileRect], px_per_unit: int = 160,
         f"<style>{style}</style>",
     ]
     for R in rects:
-        w = format((over(R.real_hi, dx) - over(R.real_lo, dx)) * px_per_unit / dx, ".3f")
-        h = format((over(R.fiber_hi, dy) - over(R.fiber_lo, dy)) * fiber_px / span, ".3f")
+        w = format((over(R.real_hi, dx) - over(R.real_lo, dx)) * _PX_PER_UNIT / dx, ".3f")
+        h = format((over(R.fiber_hi, dy) - over(R.fiber_lo, dy)) * _FIBER_PX / span, ".3f")
         out.append(f'<rect class="d{R.digit}" x="{fx(R.real_lo)}" '
                    f'y="{fy(R.fiber_hi)}" width="{w}" height="{h}"/>')
     out.append("</svg>")

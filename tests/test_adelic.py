@@ -36,6 +36,7 @@ from ratbase import (
     urysohn_pattern_estimate,
     verify_residue_system,
 )
+from ratbase.adelic import _tube_charge
 from helpers import (
     ORACLE_BASES,
     boundary_tubes_ref,
@@ -407,6 +408,15 @@ class TestBoundaryTubes:
         with pytest.raises(ScaleExceeded):
             count_boundary_hits(ctx32, 0, 2, 5000, tube)
         assert count_boundary_hits(ctx32, 0, 2, 10, tube) <= 10
+
+    def test_tube_charge_is_what_boundary_tubes_is_charged(self, ctx32, monkeypatch):
+        charge = _tube_charge(ctx32, 2, 5)
+        assert charge == 9 * ((3 + 8 + 2) + (9 + 16 + 2) + (27 + 32 + 2))
+        monkeypatch.setenv("RATBASE_MAX_ENUM", str(charge))
+        assert len(boundary_tubes(ctx32, 2, 5)) == 3
+        monkeypatch.setenv("RATBASE_MAX_ENUM", str(charge - 1))
+        with pytest.raises(ScaleExceeded, match=f"enumeration of {charge} objects"):
+            boundary_tubes(ctx32, 2, 5)
 
     def test_count_boundary_hits_refuses_a_tube_of_another_level(self, ctx32):
         with pytest.raises(ValueError, match="level-3 tubes for a level-2 read"):

@@ -262,6 +262,24 @@ class TestVerifyCommand:
         assert capsys.readouterr() == (
             "", "error: enumeration of 300000 objects exceeds cap 200000\n")
 
+    @pytest.mark.parametrize("argv, charge", [
+        (("--a", "10", "--b", "1"), 11190000),
+        ((*BASE32, "--r", "4", "--N", "5", "--resolution", "16"), 67225464),
+    ], ids=["10/1", "3/2-resolution-16"])
+    def test_tube_builds_are_charged_before_the_first_suite(self, argv, charge,
+                                                           capsys, monkeypatch):
+        # every other suite's charge fits the default cap; a boundary tube's
+        # does not
+        from ratbase import cli
+        monkeypatch.delenv("RATBASE_MAX_ENUM", raising=False)
+        start = time.perf_counter()
+        code = cli.main(["verify", *argv])
+        took = time.perf_counter() - start
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", f"error: enumeration of {charge} objects exceeds cap 10000000\n")
+        assert took < 1.0
+
     def test_sample_budget_exit_code(self):
         for suite in ("tiling", "character"):
             r = run_cli("verify", *BASE32, "--suite", suite, "--r", "2", "--N", "20000",

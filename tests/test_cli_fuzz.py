@@ -89,5 +89,6 @@ def test_level_flags_exit_cleanly(argv):
     assert "Traceback" not in err, argv
     if code in (2, 3, 64):
         assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        assert out == "", (argv, out)
     if code == 1:
         assert any(": FAIL (" in line for line in out.splitlines()), (argv, out)

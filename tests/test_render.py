@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ratbase import AdeleContext, Base, TileRect, render_tiles, tiles_csv, tiles_svg
+from ratbase import AdeleContext, Base, TileRect, render, render_tiles, tiles_csv, tiles_svg
 from helpers import interior_disjoint, tiles_svg_ref
 
 GOLDEN = Path(__file__).parent / "golden" / "tiles_32_r8.svg"
@@ -82,11 +82,15 @@ class TestSvg:
         (7, 4, 2, [Fraction(-3, 4)], "p-adic-digits"),
         (10, 1, 3, [0, 5], "alpha-digits"),
     ])
-    def test_matches_fraction_reference(self, a, b, r, translates, scheme):
+    def test_matches_fraction_reference(self, a, b, r, translates, scheme, monkeypatch):
         rects = render_tiles(AdeleContext(Base(a, b)), r, translates, scheme)
         assert tiles_svg(rects) == tiles_svg_ref(rects)
         assert tiles_svg(rects[:1]) == tiles_svg_ref(rects[:1])
-        assert tiles_svg(rects, 37, 101, 3) == tiles_svg_ref(rects, 37, 101, 3)
+        # another scale, set through the module's constants
+        monkeypatch.setattr(render, "_PX_PER_UNIT", 37)
+        monkeypatch.setattr(render, "_FIBER_PX", 101)
+        monkeypatch.setattr(render, "_PAD", 3)
+        assert tiles_svg(rects) == tiles_svg_ref(rects, 37, 101, 3)
 
     def test_flat_fiber_span_matches_fraction_reference(self):
         rects = [TileRect(Fraction(0), 0, Fraction(1, 3), Fraction(2, 3),
