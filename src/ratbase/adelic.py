@@ -17,8 +17,9 @@ over a^r and b-powers and build one Fraction per returned value.  One
 integer core, _box, locates every point from what _coordinates reads (a
 scalar's numerator and denominator directly, an AdelePoint's coordinates
 place by place), and serves locate_box, the cross-multiplied containment check of cover_census,
-the digit reads and the smoothed tile values in fourier.  Every entry
-point that takes a level checks it, and takes a^r and b^r, in _level.
+the digit reads and the smoothed tile values in fourier; the character
+reads its points through _coordinates too.  Every entry point that takes
+a level checks it, and takes a^r and b^r, in _level.
 
 Level-r boxes are translates of D_r = alpha^(-r) D_0: a box with corner c in
 alpha^(-r) Z[1/b] is the product of the real interval [c, c + alpha^(-r)]
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .numeration import Base, _horner
+from .numeration import Base, _check_digits, _horner
 
 DEFAULT_MAX_ENUM = 10**7
 
@@ -55,11 +56,33 @@ class NotIntegral(ValueError):
     """Input has a negative valuation at some p | b where integrality is required."""
 
 
+def _parse_count(text: str) -> int:
+    """Nonnegative integer, also accepted exactly in scientific notation (1e23)."""
+    try:
+        n = int(text)
+    except ValueError:
+        from decimal import Decimal, InvalidOperation
+        try:
+            v = Decimal(text)
+        except InvalidOperation:
+            raise ValueError(f"not a count: {text!r}") from None
+        # int() refuses decimal strings over 4300 digits; so does this, before
+        # a huge exponent can stall the conversion
+        if not v.is_finite() or v.adjusted() >= 4300 or v != v.to_integral_value():
+            raise ValueError(f"not an integer count: {text!r}")
+        n = int(v)
+    if n < 0:
+        raise ValueError("count must be nonnegative")
+    return n
+
+
 def max_enum() -> int:
+    """The budget cap: RATBASE_MAX_ENUM, read as a count, or 10^7."""
     raw = os.environ.get("RATBASE_MAX_ENUM")
-    if raw is None or raw == "":
-        return DEFAULT_MAX_ENUM
-    return int(raw)
+    try:
+        return _parse_count(raw) if raw else DEFAULT_MAX_ENUM
+    except ValueError as exc:
+        raise ValueError(f"RATBASE_MAX_ENUM: {exc}") from None
 
 
 def _check_budget(work: int) -> None:
@@ -133,15 +156,6 @@ class AdelePoint:
         return cls(real=q, padic={p: q for p, _ in ctx.primes})
 
 
-def _as_point(ctx: AdeleContext, z) -> AdelePoint:
-    if isinstance(z, AdelePoint):
-        for p, _ in ctx.primes:
-            if p not in z.padic:
-                raise ValueError(f"point missing component at p = {p}")
-        return z
-    return AdelePoint.diagonal(ctx, z)
-
-
 def _vp(p: int, x: Fraction) -> int:
     """p-adic valuation of a nonzero rational."""
     if x == 0:
@@ -178,9 +192,8 @@ def frac_p(p: int, x) -> Fraction:
 
 def char_exponent(ctx: AdeleContext, z) -> Fraction:
     """Exact exponent sum_p lambda_p(z_p) - z_oo of the adele character."""
-    z = _as_point(ctx, z)
-    s = sum((frac_p(p, z.padic[p]) for p, _ in ctx.primes), Fraction(0))
-    return s - z.real
+    x, xs = _coordinates(ctx, z)
+    return sum((frac_p(p, x_p) for (p, _), x_p in zip(ctx.primes, xs)), Fraction(0)) - x
 
 
 def character(ctx: AdeleContext, z) -> complex:
@@ -192,7 +205,7 @@ def character(ctx: AdeleContext, z) -> complex:
 
 def char_tilde(ctx: AdeleContext, xi) -> complex:
     """chi on the diagonal: trivial exactly on Z[alpha] = Z[1/b]."""
-    return character(ctx, AdelePoint.diagonal(ctx, xi))
+    return character(ctx, xi)
 
 
 def _split_b(ctx: AdeleContext, n: int) -> tuple[int, int]:
@@ -295,8 +308,10 @@ def _coordinates(ctx: AdeleContext, z) -> tuple:
     if not isinstance(z, AdelePoint):
         x = z if isinstance(z, (int, Fraction)) else Fraction(z)
         return x, (x,) * len(ctx.primes)
-    padic = _as_point(ctx, z).padic
+    padic = z.padic
     for p, _ in ctx.primes:
+        if p not in padic:
+            raise ValueError(f"point missing component at p = {p}")
         if not isinstance(padic[p], numbers.Rational):
             raise TypeError(f"coordinate at p = {p} is not rational: {padic[p]!r}")
     if not isinstance(z.real, numbers.Rational):
@@ -356,8 +371,7 @@ def tile_corners(ctx: AdeleContext, d: int, r: int) -> tuple[Fraction, ...]:
     Enumerated as their numerators over a^r.
     """
     a, b = ctx.base.a, ctx.base.b
-    if not 0 <= d < a:
-        raise ValueError(f"digit {d} outside alphabet")
+    _check_digits(ctx.base, (d,))
     ar, _ = _level(ctx, r, 1, charged=r - 1)
     _check_budget(ar // a)
     return tuple(Fraction(n, ar) for n in sorted(_corner_numerators(a, b, r, d)))

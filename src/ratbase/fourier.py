@@ -43,6 +43,7 @@ from typing import Sequence
 
 from .adelic import (AdeleContext, _box, _check_budget, _coordinates, _first_residue,
                      _level, _split_b, max_enum, membership_point)
+from .numeration import _check_digits
 
 # the constant factors of the angles, each computed as the expressions that
 # use them would compute it first, so hoisting them changes no result bit
@@ -125,8 +126,8 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
     if type(xi) is not Fraction:
         xi = Fraction(xi)
     a, b = ctx.base.a, ctx.base.b
-    if not 0 <= d < a:
-        raise ValueError(f"digit {d} outside alphabet")
+    if not 0 <= d < a:  # inline: a call here costs a few percent of coeff_f
+        raise ValueError(f"digit {d} outside alphabet of base {ctx.base}")
     ar, br = _level(ctx, r)
     m = _mode(xi, ar, br)
     if m is None or m % a == 0:
@@ -220,9 +221,7 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
     ar, _ = _level(ctx, r)
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
-    for d in digits:
-        if not 0 <= d < ctx.base.a:
-            raise ValueError(f"digit {d} outside alphabet")
+    _check_digits(ctx.base, digits)
     _check_budget(_fill_charge(ctx.base.a, r, len(digits) * (max_m + 1)))
     rows: list[list[str]] = [[] for _ in digits]
     for m, values in _f_values(ctx, digits, r, ar, range(max_m + 1)):
@@ -250,8 +249,7 @@ def eval_urysohn_direct(ctx: AdeleContext, d: int, r: int, z) -> Fraction:
         f_{d,r}(Phi(z)) = (1 - theta) [digit(x) = d] + theta [digit(x + h) = d]
     """
     a, b = ctx.base.a, ctx.base.b
-    if not 0 <= d < a:
-        raise ValueError(f"digit {d} outside alphabet")
+    _check_digits(ctx.base, (d,))
     ar, br = _level(ctx, r, 1)
     if type(z) is not Fraction:
         z = Fraction(z)
@@ -347,8 +345,7 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
     chi~(z / b^r) = e(P / Q) read as an integer residue.
     """
     a, b = ctx.base.a, ctx.base.b
-    if not 0 <= d < a:
-        raise ValueError(f"digit {d} outside alphabet")
+    _check_digits(ctx.base, (d,))
     tail_bound = series_tail_bound(ctx, r, cutoff)  # checks the level and cutoff
     if type(z) is not Fraction:
         z = Fraction(z)
@@ -391,9 +388,7 @@ def urysohn_pattern_estimate(ctx: AdeleContext, word: Sequence[int], k: int,
     _level(ctx, r)  # refuse a level above the bound before the charge
     if N < 0:
         raise ValueError("N must be nonnegative")
-    for d in w_lsf:
-        if not 0 <= d < ctx.base.a:
-            raise ValueError(f"digit {d} outside alphabet")
+    _check_digits(ctx.base, w_lsf)
     _check_budget(max(N, 1) * len(w_lsf))
     total = Fraction(0)
     for n in range(1, N + 1):

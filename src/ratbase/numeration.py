@@ -65,6 +65,14 @@ class Base:
         return f"{self.a}/{self.b}"
 
 
+def _check_digits(base: Base, digits: Sequence[int]) -> None:
+    """The one alphabet check: a ValueError at the first digit outside 0..a-1."""
+    a = base.a
+    for d in digits:
+        if not 0 <= d < a:
+            raise ValueError(f"digit {d} outside alphabet of base {base}")
+
+
 @dataclass(frozen=True)
 class DigitWord:
     """A digit string over {0..a-1}, most significant digit first.
@@ -77,9 +85,7 @@ class DigitWord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "digits", tuple(self.digits))
-        for d in self.digits:
-            if not 0 <= d < self.base.a:
-                raise ValueError(f"digit {d} outside alphabet of base {self.base}")
+        _check_digits(self.base, self.digits)
         if self.digits and self.digits[0] == 0:
             raise ValueError("leading digit must be nonzero")
 
@@ -132,9 +138,7 @@ def parse_digits(base: Base, text: str) -> tuple[int, ...]:
         if not re.fullmatch(r"\d*", text):
             raise ValueError(f"malformed digit string {text!r}")
         digits = tuple(int(c) for c in text)
-    for d in digits:
-        if d >= base.a:
-            raise ValueError(f"digit {d} outside alphabet of base {base}")
+    _check_digits(base, digits)
     return digits
 
 

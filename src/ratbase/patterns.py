@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .adelic import _check_budget
-from .numeration import (Base, _horner, encode, format_digits, length,
-                         parse_digits)
+from .numeration import (Base, _check_digits, _horner, encode, format_digits,
+                         length, parse_digits)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,9 +73,7 @@ class Pattern:
         object.__setattr__(self, "word", tuple(self.word))
         if not self.word:
             raise ValueError("pattern must be nonempty")
-        for d in self.word:
-            if not 0 <= d < self.base.a:
-                raise ValueError(f"digit {d} outside alphabet of base {self.base}")
+        _check_digits(self.base, self.word)
 
     def __len__(self) -> int:
         return len(self.word)

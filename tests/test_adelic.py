@@ -36,7 +36,7 @@ from ratbase import (
     urysohn_pattern_estimate,
     verify_residue_system,
 )
-from ratbase.adelic import _tube_charge
+from ratbase.adelic import _tube_charge, max_enum
 from helpers import (
     ORACLE_BASES,
     boundary_tubes_ref,
@@ -599,6 +599,28 @@ def test_non_rational_coordinates_are_type_errors(ctx32):
         locate_box(ctx32, AdelePoint(0.25, {2: Fraction(1, 3)}), 2)
     with pytest.raises(TypeError, match="coordinate at p = 2"):
         reduce_mod_lattice(ctx32, AdelePoint(Fraction(1, 3), {2: "1/2"}))
+    # the characters read points as point location does
+    for call in (char_exponent, character):
+        with pytest.raises(TypeError, match="real coordinate is not rational"):
+            call(ctx32, AdelePoint(0.25, {2: Fraction(1, 3)}))
+        with pytest.raises(TypeError, match="coordinate at p = 2 is not rational"):
+            call(ctx32, AdelePoint(Fraction(1, 3), {2: 0.5}))
+
+
+class TestBudgetCap:
+    def test_exact_forms(self, monkeypatch):
+        for raw, cap in [("1e8", 10**8), ("2.5E3", 2500), ("0", 0), (" 12 ", 12),
+                         ("", 10**7)]:
+            monkeypatch.setenv("RATBASE_MAX_ENUM", raw)
+            assert max_enum() == cap, raw
+        monkeypatch.delenv("RATBASE_MAX_ENUM")
+        assert max_enum() == 10**7
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1.5", "1e-3", "inf"])
+    def test_bad_values_name_the_variable(self, raw, monkeypatch):
+        monkeypatch.setenv("RATBASE_MAX_ENUM", raw)
+        with pytest.raises(ValueError, match="^RATBASE_MAX_ENUM: "):
+            max_enum()
 
 
 class TestFrozenDownstreamValues:
@@ -707,6 +729,9 @@ BAD_ARGUMENT_CALLS = {
                                   "resolution must exceed"),
     "point_missing_a_prime": (lambda ctx: locate_box(ctx, AdelePoint(Fraction(1), {}), 2),
                               "missing component at p = 2"),
+    "character_point_missing_a_prime": (
+        lambda ctx: char_exponent(ctx, AdelePoint(Fraction(1), {})),
+        "missing component at p = 2"),
 }
 
 

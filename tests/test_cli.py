@@ -1,13 +1,20 @@
 """Command line interface: outputs, exit codes, determinism."""
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ratbase import Base
+from ratbase.fourier import FourierCoefficient
 from helpers import stream_prefix
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args, env_extra=None):
@@ -280,6 +287,25 @@ class TestVerifyCommand:
             "", f"error: enumeration of {charge} objects exceeds cap 10000000\n")
         assert took < 1.0
 
+    @pytest.mark.parametrize("exact, value", [(None, 1e-13), (Fraction(0), 0.5)],
+                             ids=["inexact-tiny", "exact-zero-wrong-value"])
+    def test_vanishing_check_fails_on_a_wrong_zero(self, exact, value, capsys,
+                                                   monkeypatch):
+        # a | m must give exact == 0 with value 0; anything else is a failure
+        from ratbase import cli
+        real = cli.coeff_f
+
+        def wrong(ctx, d, r, xi):
+            if xi != 0 and xi * ctx.base.b**r % ctx.base.a == 0:
+                return FourierCoefficient(xi, complex(value), exact)
+            return real(ctx, d, r, xi)
+
+        monkeypatch.setattr(cli, "coeff_f", wrong)
+        code = cli.main(["verify", *BASE32, "--suite", "fourier", "--r", "2"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert re.search(r"^vanishing r=2: FAIL \(", out, re.M), out
+
     def test_sample_budget_exit_code(self):
         for suite in ("tiling", "character"):
             r = run_cli("verify", *BASE32, "--suite", suite, "--r", "2", "--N", "20000",
@@ -349,6 +375,51 @@ class TestLevelBoundRefusals:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: enumeration of at least 3^100000 objects exceeds cap 10000000\n"
+
+
+class TestBudgetVariable:
+    """RATBASE_MAX_ENUM is read as the count flags are: exactly, and a bad
+    value is a usage error that names it."""
+
+    def test_scientific_notation(self, capsys, monkeypatch):
+        from ratbase import cli
+        from ratbase.adelic import max_enum
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "1e8")
+        assert max_enum() == 10**8
+        assert cli.main(["sod-sum", *BASE32, "--N", "1000"]) == 0
+        assert capsys.readouterr().out == "14734\n"
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1.5"])
+    def test_bad_value_is_a_usage_error(self, raw, capsys, monkeypatch):
+        from ratbase import cli
+        monkeypatch.setenv("RATBASE_MAX_ENUM", raw)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sod-sum", *BASE32, "--N", "1000"])
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "RATBASE_MAX_ENUM" in errors[0], err
+
+
+def _readme_cli_lines() -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    return block.splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_block(line, tmp_path, capsys, monkeypatch):
+    # every line runs as written; a "# -> X" comment is its first output line
+    from ratbase import cli
+    monkeypatch.chdir(tmp_path)
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)
+    assert argv[0] == "ratbase"
+    assert cli.main(argv[1:]) == 0
+    out = capsys.readouterr().out
+    if comment.strip().startswith("->"):
+        assert out.splitlines()[0] == comment.strip()[2:].strip()
 
 
 class TestExitCodes:

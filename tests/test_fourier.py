@@ -10,6 +10,8 @@ import pytest
 from ratbase import (
     AdeleContext,
     Base,
+    DigitWord,
+    Pattern,
     ScaleExceeded,
     char_exponent,
     coeff_f,
@@ -19,7 +21,9 @@ from ratbase import (
     eval_urysohn_direct,
     eval_urysohn_series,
     locate_box,
+    parse_digits,
     series_tail_bound,
+    tile_corners,
     urysohn_pattern_estimate,
 )
 from ratbase import fourier
@@ -290,6 +294,25 @@ class TestPatternEstimate:
         for word, k, r in (((2,), 0, 0), ((2,), 0, -1), ((2,), -1, 2), ((), 0, 2)):
             with pytest.raises(ValueError):
                 urysohn_pattern_estimate(ctx32, word, k, r, N)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: DigitWord(ctx.base, (1, 3)),
+    lambda ctx: parse_digits(ctx.base, "13"),
+    lambda ctx: Pattern(ctx.base, (3,)),
+    lambda ctx: tile_corners(ctx, 3, 2),
+    lambda ctx: coeff_f(ctx, 3, 2, Fraction(1, 4)),
+    lambda ctx: coefficient_table(ctx, [0, 3], 2, 5),
+    lambda ctx: eval_urysohn_direct(ctx, 3, 2, Fraction(1, 3)),
+    lambda ctx: eval_urysohn_series(ctx, 3, 2, Fraction(1, 3), 10),
+    lambda ctx: urysohn_pattern_estimate(ctx, (1, 3), 0, 2, 5),
+], ids=["DigitWord", "parse_digits", "Pattern", "tile_corners", "coeff_f",
+        "coefficient_table", "eval_urysohn_direct", "eval_urysohn_series",
+        "urysohn_pattern_estimate"])
+def test_every_digit_check_names_the_base(call, ctx32):
+    # one alphabet check serves words, patterns, tiles and the Fourier layer
+    with pytest.raises(ValueError, match=r"^digit 3 outside alphabet of base 3/2$"):
+        call(ctx32)
 
 
 class TestBudget:
