@@ -24,12 +24,12 @@ is read as a residue P mod Q.  A coefficient's value is evaluated to
 floating point once, from those integers, when the coefficient is built;
 Fraction is the type of the exact results.
 
-The level sums sum_{e<a} e(-e c_k / a^k) that a coefficient multiplies
-depend on (a, a^k, c_k) only.  Those of the levels with a^k <= 2^12 are
-kept for the life of the process in one table that coeff_f, the tables and
-the series all read, filled as calls first ask for them: at most a^k sums
-per level, 8188 at a = 2.  A sum is the same expression whether it is
-computed or read, so every value is bit-identical either way.
+The product of the level sums sum_{e<a} e(-e c_k / a^k), c_k = w b^k mod
+a^k, over k = 2..K depends on (a, b, a^K, w mod a^K) only.  Those with
+a^K <= 2^12 are kept for the life of the process in one table that
+coeff_f, the tables and the series all read, filled as calls first ask:
+at most a^K - a per base pair.  A product is the same expression whether
+it is computed or read, so every value is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -53,17 +53,23 @@ _NEG_TWO_PI_J = -2j * math.pi
 _PI_SQUARED = math.pi**2
 
 
-@dataclass(frozen=True)
-class FourierCoefficient:
-    """One coefficient at frequency xi, with its value.
+class FourierCoefficient(namedtuple("_Fields", "frequency value exact")):
+    """One coefficient at frequency xi, with its value: an immutable 3-tuple
+    equal only to another coefficient.
 
     `exact` is the value as a rational number where it is one (the zero
     mode and the exact vanishing locus), and None elsewhere.
     """
 
-    frequency: Fraction
-    value: complex
-    exact: Fraction | None
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is FourierCoefficient and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 def _mode(xi: Fraction, ar: int, br: int) -> int | None:
@@ -102,9 +108,9 @@ def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
     m = _mode(xi, ar, br)
     if m is None:
         q = Fraction(1, ar) if xi == 0 else Fraction(0)
-        return FourierCoefficient(xi, complex(q), q)
+        return tuple.__new__(FourierCoefficient, (xi, complex(q), q))
     P, Q = _chi_residue(ctx, -x.numerator * xi.numerator, x.denominator * xi.denominator)
-    return FourierCoefficient(xi, _closed_form(m, ar, P, Q, complex(1.0)), None)
+    return tuple.__new__(FourierCoefficient, (xi, _closed_form(m, ar, P, Q, 1 + 0j), None))
 
 
 def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
@@ -132,10 +138,10 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
     m = _mode(xi, ar, br)
     if m is None or m % a == 0:
         q = Fraction(1, a) if xi == 0 else Fraction(0)
-        return FourierCoefficient(xi, complex(q), q)
+        return tuple.__new__(FourierCoefficient, (xi, complex(q), q))
     w = -m * pow(b, -r, ar) % ar
-    value = _closed_form(m, ar, -d * w * b % a, a, _level_factor(a, b, r, w))
-    return FourierCoefficient(xi, value, None)
+    value = _closed_form(m, ar, -d * w * b % a, a, _level_factor(a, b, ar, br, w))
+    return tuple.__new__(FourierCoefficient, (xi, value, None))
 
 
 def _level_sum(a: int, ak: int, c: int) -> complex:
@@ -143,56 +149,63 @@ def _level_sum(a: int, ak: int, c: int) -> complex:
     return sum([cmath.exp(_NEG_TWO_PI_J * ((e * c % ak) / ak)) for e in range(a)])
 
 
-# The level sums of every level with a^k <= _TABLE_TOP, by (a, a^k, c_k),
-# shared by all calls and filled as they ask for them: a level k holds at
-# most a^k sums, so at most 3276 at a = 3 and 8188 at a = 2.  a is in the
-# key because a^k alone does not name the level (81 = 3^4 = 9^2).
+# The level factors of the levels with a^r <= _TABLE_TOP by (a, b, a^r, w),
+# since c_k depends on w mod a^k only, shared by all calls and filled as they
+# ask.  a never divides w, so a base pair keeps at most a^K - a factors, a^K
+# the largest tabled power: 2184 at 3/2, 4094 at a = 2.
 _TABLE_TOP = 1 << 12
-_level_sums: dict[tuple[int, int, int], complex] = {}
+_prefixes: dict[tuple[int, int, int, int], complex] = {}
 
 
 def _fill_charge(a: int, r: int, rows: int) -> int:
     """rows * (1 + L), the budget charge of rows level-r coefficients: L
     counts the levels k in 2..r with a^k above _TABLE_TOP, whose sums each
-    mode computes anew (a exponentials each), where a tabled level is a
-    lookup."""
+    mode computes anew (a exponentials each), where the tabled levels are
+    one lookup."""
     k, ak = 2, a * a
     while ak <= _TABLE_TOP:
         k, ak = k + 1, ak * a
     return rows * (1 + max(0, r - k + 1))
 
 
-def _level_factor(a: int, b: int, r: int, w: int,
+def _level_factor(a: int, b: int, ar: int, br: int, w: int,
                   own: dict | None = None, top: int = 0) -> complex:
-    """prod_{k=2..r} _level_sum(a, a^k, c_k) with c_k = w b^k mod a^k.
+    """prod_{k=2..r} _level_sum(a, a^k, c_k), c_k = w b^k mod a^k, from
+    complex(1.0) in the order of k; ar, br = a^r, b^r and 0 <= w < a^r.
 
-    A level sum depends on (a, a^k, c_k) only.  The sums of levels with
-    a^k <= _TABLE_TOP are read from, and added to, _level_sums; those of
-    the levels above it with a^k < top are kept in the caller's `own`.
+    Where a^r <= _TABLE_TOP the product is one _prefixes entry, filled from
+    the entry a level below.  Above it the tabled levels are one entry, and
+    the sum of each level with a^k < top is kept in the caller's `own`.
     """
-    factor = complex(1.0)
+    if ar == a:
+        return complex(1.0)
+    if ar <= _TABLE_TOP:
+        p = _prefixes.get((a, b, ar, w))
+        if p is None:
+            below = _level_factor(a, b, ar // a, br // b, w % (ar // a))
+            p = _prefixes[a, b, ar, w] = below * _level_sum(a, ar, w * br % ar)
+        return p
     ak, bk = a, b
-    for _ in range(2, r + 1):
+    while ak * a <= _TABLE_TOP:
+        ak, bk = ak * a, bk * b
+    factor = _level_factor(a, b, ak, bk, w % ak)
+    while ak < ar:
         ak, bk = ak * a, bk * b
         c = w * bk % ak
-        if ak <= _TABLE_TOP:
-            sums = _level_sums
-        elif ak < top:
-            sums = own
+        if ak < top:
+            s = own.get((ak, c))
+            if s is None:
+                s = own[ak, c] = _level_sum(a, ak, c)
         else:
-            factor *= _level_sum(a, ak, c)
-            continue
-        s = sums.get((a, ak, c))
-        if s is None:
-            s = sums[a, ak, c] = _level_sum(a, ak, c)
+            s = _level_sum(a, ak, c)
         factor *= s
     return factor
 
 
-def _f_values(ctx: AdeleContext, digits: Sequence[int], r: int, ar: int, ms: range):
+def _f_values(ctx: AdeleContext, digits: Sequence[int], r: int, ms: range):
     """(m, the tuple of c'_{d,r,m/b^r} over digits) for each m in ms, a
-    range of consecutive integers >= 0, with ar = a^r; callers check the
-    level and the digits.
+    range of consecutive integers >= 0; callers check the level and the
+    digits.
 
     w = -m b^(-r) mod a^r and the level factor depend on m only, so each is
     computed once per m for all digits.  Over len(ms) consecutive modes the
@@ -200,14 +213,15 @@ def _f_values(ctx: AdeleContext, digits: Sequence[int], r: int, ar: int, ms: ran
     the level sums of those levels above _TABLE_TOP: fewer than 2 len(ms).
     """
     a, b = ctx.base.a, ctx.base.b
+    ar, br = _level(ctx, r)
     b_inv = pow(b, -r, ar)
-    own: dict[tuple[int, int, int], complex] = {}
+    own: dict[tuple[int, int], complex] = {}
     for m in ms:
         if r == 0 or m % a == 0:
             yield m, (complex(1 / a) if m == 0 else 0j,) * len(digits)
             continue
         w = -m * b_inv % ar  # t_k = (w b^k mod a^k) / a^k
-        factor = _level_factor(a, b, r, w, own, len(ms))
+        factor = _level_factor(a, b, ar, br, w, own, len(ms))
         yield m, tuple(_closed_form(m, ar, -d * w * b % a, a, factor) for d in digits)
 
 
@@ -218,13 +232,13 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
     Checks the level and digits, then charges the _fill_charge of its
     len(digits) * (max_m + 1) rows to the budget.
     """
-    ar, _ = _level(ctx, r)
+    _level(ctx, r)
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     _check_digits(ctx.base, digits)
     _check_budget(_fill_charge(ctx.base.a, r, len(digits) * (max_m + 1)))
     rows: list[list[str]] = [[] for _ in digits]
-    for m, values in _f_values(ctx, digits, r, ar, range(max_m + 1)):
+    for m, values in _f_values(ctx, digits, r, range(max_m + 1)):
         for row, d, v in zip(rows, digits, values):
             row.append(f"{m},{r},{d},{v.real!r},{v.imag!r},{abs(v)!r}")
     lines = ["xi_numerator,r,digit,re,im,abs"]
@@ -320,7 +334,7 @@ class _SeriesCache:
             return got
         _check_budget(_fill_charge(ctx.base.a, r, cutoff))
         self.misses += 1
-        values = _f_values(ctx, (d,), r, _level(ctx, r)[0], range(1, cutoff + 1))
+        values = _f_values(ctx, (d,), r, range(1, cutoff + 1))
         got = self.lists[key] = tuple((m, c) for m, (c,) in values if c != 0)
         self.pairs += len(got)
         cap = max_enum()

@@ -27,6 +27,7 @@ from ratbase import (
     urysohn_pattern_estimate,
 )
 from ratbase import fourier
+from ratbase.fourier import FourierCoefficient
 from ratbase.fourier import _TABLE_TOP, _SeriesCache, _fill_charge, _series_coeffs
 from helpers import (ORACLE_BASES, coeff_f_ref, coeff_f_sum, coeff_g_quadrature,
                      coeff_g_ref, random_rational, urysohn_bruteforce,
@@ -79,6 +80,44 @@ class TestBumpCoefficient:
 
     def test_zero_frequency_at_level_zero(self, ctx32):
         assert coeff_g(ctx32, 0, 0, 1).value == 0
+
+
+class TestCoefficientType:
+    """FourierCoefficient: three named fields of an immutable 3-tuple that
+    equals only another coefficient."""
+
+    def test_fields_and_keyword_construction(self, ctx32):
+        c = coeff_f(ctx32, 1, 3, Fraction(5, 8))
+        xi, value, exact = c
+        assert (c.frequency, c.value, c.exact) == (xi, value, exact)
+        assert (xi, exact) == (Fraction(5, 8), None) and value != 0
+        assert FourierCoefficient(frequency=xi, value=value, exact=exact) == c
+        assert FourierCoefficient(xi, value, exact) == c
+
+    def test_fields_cannot_be_assigned(self, ctx32):
+        c = coeff_f(ctx32, 1, 3, Fraction(5, 8))
+        for name in ("frequency", "value", "exact", "other"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 0)
+
+    def test_equals_only_a_coefficient(self, ctx32):
+        c = coeff_f(ctx32, 1, 3, Fraction(3, 8))
+        assert c != tuple(c) and tuple(c) != c
+        assert not c == tuple(c)
+        twin = FourierCoefficient(Fraction(3, 8), 0j, Fraction(0))
+        assert c == twin and not c != twin
+        assert hash(c) == hash(twin)
+        assert len({c, twin, coeff_f(ctx32, 1, 3, Fraction(5, 8))}) == 2
+
+    @pytest.mark.parametrize("xi", [0, Fraction(3, 8), Fraction(5, 8), Fraction(1, 3)])
+    def test_repr(self, ctx32, xi):
+        c = coeff_f(ctx32, 1, 3, xi)
+        assert repr(c) == (f"FourierCoefficient(frequency={c.frequency!r}, "
+                           f"value={c.value!r}, exact={c.exact!r})")
+
+    def test_frozen_repr(self, ctx32):
+        assert repr(coeff_f(ctx32, 1, 3, Fraction(3, 8))) == (
+            "FourierCoefficient(frequency=Fraction(3, 8), value=0j, exact=Fraction(0, 1))")
 
 
 class TestTileCoefficient:
@@ -495,19 +534,20 @@ class TestIntegerFourierTables:
 
 
 class TestLevelSumTable:
-    """The level sums that every call shares, by (a, a^k, c_k)."""
+    """The products of the tabled level sums that every call shares, by
+    (a, b, a^k, w mod a^k)."""
 
     def test_levels_of_equal_size_in_two_bases(self, monkeypatch):
         # a^k = 81 is level 2 at 9/2 and level 4 at 3/2, and the same m gives
-        # both the residue c = -m mod 81 there
+        # both the residue w mod 81; the key keeps the two products apart
         ctx92, ctx32 = AdeleContext(Base(9, 2)), AdeleContext(Base(3, 2))
         calls = [(ctx, d, r, Fraction(m, 2**r)) for ctx, r in ((ctx92, 2), (ctx32, 4))
                  for m in range(1, 81) if m % 3 for d in (0, 1, 2)]
         for order in (calls, calls[::-1]):
-            monkeypatch.setattr(fourier, "_level_sums", {})
+            monkeypatch.setattr(fourier, "_prefixes", {})
             for call in order:
                 assert repr(coeff_f(*call).value) == repr(coeff_f_ref(*call).value), call
-            assert {(a, ak) for a, ak, _ in fourier._level_sums} >= {(9, 81), (3, 81)}
+            assert {(a, b, ak) for a, b, ak, _ in fourier._prefixes} >= {(9, 2, 81), (3, 2, 81)}
 
     def test_cold_and_warm_calls_agree(self, ctx32, monkeypatch):
         def outputs():
@@ -516,17 +556,20 @@ class TestLevelSumTable:
                     coefficient_table(ctx32, [0, 1, 2], 5, 300),
                     repr(eval_urysohn_series(ctx32, 2, 4, Fraction(5, 7), 200).value))
 
-        monkeypatch.setattr(fourier, "_level_sums", {})
+        monkeypatch.setattr(fourier, "_prefixes", {})
         cold = outputs()
-        assert fourier._level_sums
+        assert fourier._prefixes
         assert outputs() == cold
 
     def test_holds_no_level_above_its_bound(self, ctx32, monkeypatch):
-        monkeypatch.setattr(fourier, "_level_sums", {})
+        monkeypatch.setattr(fourier, "_prefixes", {})
         coefficient_table(ctx32, [1], 12, 3000)
-        sizes = {ak for _, ak, _ in fourier._level_sums}
+        sizes = {ak for _, _, ak, _ in fourier._prefixes}
         assert sizes == {3**k for k in range(2, 8)}
         assert max(sizes) <= _TABLE_TOP < 3**8
+        # only residues prime to 3 occur: at most 3^7 - 3 products at 3/2
+        assert all(u % 3 for _, _, _, u in fourier._prefixes)
+        assert len(fourier._prefixes) <= 3**7 - 3
 
 
 class TestLevelBound:
