@@ -262,11 +262,14 @@ def eval_urysohn_direct(ctx: AdeleContext, d: int, r: int, z) -> Fraction:
 
         f_{d,r}(Phi(z)) = (1 - theta) [digit(x) = d] + theta [digit(x + h) = d]
     """
-    a, b = ctx.base.a, ctx.base.b
     _check_digits(ctx.base, (d,))
     ar, br = _level(ctx, r, 1)
-    if type(z) is not Fraction:
-        z = Fraction(z)
+    return _direct(ctx, d, r, ar, br, z if type(z) is Fraction else Fraction(z))
+
+
+def _direct(ctx: AdeleContext, d: int, r: int, ar: int, br: int, z: Fraction) -> Fraction:
+    """eval_urysohn_direct at a checked digit d and level r; ar, br = a^r, b^r."""
+    a, b = ctx.base.a, ctx.base.b
     y, q, u = _box(ctx, _coordinates(ctx, z), r, ar, br)
     # x = y h / q, so theta = z / h - y / q = t / s; the right neighbour
     # x + h has the scaled corner (y + q) / q and the class u + 1
@@ -399,7 +402,7 @@ def urysohn_pattern_estimate(ctx: AdeleContext, word: Sequence[int], k: int,
     w_lsf = tuple(reversed(tuple(word)))
     if not w_lsf or r < 1 or k < 0:
         raise ValueError("need a nonempty word, level >= 1 and k >= 0")
-    _level(ctx, r)  # refuse a level above the bound before the charge
+    ar, br = _level(ctx, r)  # refuse a level above the bound before the charge
     if N < 0:
         raise ValueError("N must be nonnegative")
     _check_digits(ctx.base, w_lsf)
@@ -409,7 +412,7 @@ def urysohn_pattern_estimate(ctx: AdeleContext, word: Sequence[int], k: int,
         prod = Fraction(1)
         for j, d in enumerate(w_lsf):
             zz = membership_point(ctx, n, k + j)
-            prod *= eval_urysohn_direct(ctx, d, r, zz)
+            prod *= _direct(ctx, d, r, ar, br, zz)
             if prod == 0:
                 break
         total += prod

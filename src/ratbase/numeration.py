@@ -65,12 +65,13 @@ class Base:
         return f"{self.a}/{self.b}"
 
 
-def _check_digits(base: Base, digits: Sequence[int]) -> None:
-    """The one alphabet check: a ValueError at the first digit outside 0..a-1."""
+def _check_digits(base: Base, digits: Sequence[int]) -> Sequence[int]:
+    """The one alphabet check: digits, or a ValueError at the first outside 0..a-1."""
     a = base.a
     for d in digits:
         if not 0 <= d < a:
             raise ValueError(f"digit {d} outside alphabet of base {base}")
+    return digits
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class DigitWord:
 
     @classmethod
     def parse(cls, base: Base, text: str) -> "DigitWord":
-        return cls(base, parse_digits(base, text))
+        return cls(base, _read_digits(text))
 
 
 # byte d to the character of digit d for d < 10, and every other byte to
@@ -123,6 +124,11 @@ def format_digits(base: Base, digits: Sequence[int]) -> str:
 
 def parse_digits(base: Base, text: str) -> tuple[int, ...]:
     """Inverse of format_digits; accepts either form for any base."""
+    return _check_digits(base, _read_digits(text))
+
+
+def _read_digits(text: str) -> tuple[int, ...]:
+    """The digits of either form of format_digits, unchecked against a base."""
     text = text.strip()
     if text.startswith("("):
         if not text.endswith(")"):
@@ -133,13 +139,10 @@ def parse_digits(base: Base, text: str) -> tuple[int, ...]:
         parts = [p.strip() for p in inner.split(",")]
         if any(not re.fullmatch(r"\d+", p) for p in parts):
             raise ValueError(f"malformed digit tuple {text!r}")
-        digits = tuple(int(p) for p in parts)
-    else:
-        if not re.fullmatch(r"\d*", text):
-            raise ValueError(f"malformed digit string {text!r}")
-        digits = tuple(int(c) for c in text)
-    _check_digits(base, digits)
-    return digits
+        return tuple(int(p) for p in parts)
+    if not re.fullmatch(r"\d*", text):
+        raise ValueError(f"malformed digit string {text!r}")
+    return tuple(int(c) for c in text)
 
 
 def encode(base: Base, n: int) -> DigitWord:

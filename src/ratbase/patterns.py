@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .adelic import _check_budget
-from .numeration import (Base, _check_digits, _horner, encode, format_digits,
-                         length, parse_digits)
+from .numeration import (Base, _check_digits, _horner, _read_digits, encode,
+                         format_digits, length)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -83,7 +83,7 @@ class Pattern:
 
     @classmethod
     def parse(cls, base: Base, text: str) -> "Pattern":
-        return cls(base, parse_digits(base, text))
+        return cls(base, _read_digits(text))
 
     @property
     def lsf(self) -> tuple[int, ...]:

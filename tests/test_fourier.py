@@ -26,7 +26,7 @@ from ratbase import (
     tile_corners,
     urysohn_pattern_estimate,
 )
-from ratbase import fourier
+from ratbase import fourier, numeration, patterns
 from ratbase.fourier import FourierCoefficient
 from ratbase.fourier import _TABLE_TOP, _SeriesCache, _fill_charge, _series_coeffs
 from helpers import (ORACLE_BASES, coeff_f_ref, coeff_f_sum, coeff_g_quadrature,
@@ -352,6 +352,26 @@ def test_every_digit_check_names_the_base(call, ctx32):
     # one alphabet check serves words, patterns, tiles and the Fourier layer
     with pytest.raises(ValueError, match=r"^digit 3 outside alphabet of base 3/2$"):
         call(ctx32)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: DigitWord.parse(ctx.base, "2102"),
+    lambda ctx: parse_digits(ctx.base, "2102"),
+    lambda ctx: Pattern.parse(ctx.base, "(2,1,0,2)"),
+    lambda ctx: urysohn_pattern_estimate(ctx, (2, 1), 2, 3, 40),
+], ids=["DigitWord.parse", "parse_digits", "Pattern.parse", "urysohn_pattern_estimate"])
+def test_digits_are_checked_once(call, ctx32, monkeypatch):
+    checks = []
+    check = numeration._check_digits
+
+    def counted(base, digits):
+        checks.append(tuple(digits))
+        check(base, digits)
+
+    for module in (numeration, patterns, fourier):
+        monkeypatch.setattr(module, "_check_digits", counted)
+    call(ctx32)
+    assert len(checks) == 1, checks
 
 
 class TestBudget:
