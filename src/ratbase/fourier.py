@@ -88,8 +88,10 @@ def _chi_residue(ctx: AdeleContext, num: int, den: int) -> tuple[int, int]:
 
 
 def _closed_form(m: int, ar: int, P: int, Q: int, factor: complex) -> complex:
-    """a^r / (4 m^2) |1 - e(m / a^r)|^2 / pi^2 e(P / Q) factor at xi = m / b^r."""
-    amp = 2.0 - 2.0 * math.cos(_TWO_PI * (m % ar / ar))
+    """a^r / (4 m^2) |1 - e(m / a^r)|^2 / pi^2 e(P / Q) factor at xi = m / b^r,
+    with |1 - e(t)|^2 = 4 sin^2(pi t) at the residue nearer 0, free of cancelling."""
+    s = math.sin(math.pi * (min(m % ar, -m % ar) / ar))
+    amp = 4.0 * s * s
     unit = cmath.exp(_TWO_PI_J * (P / Q))
     return ar / (4 * m * m) * amp / _PI_SQUARED * unit * factor
 
@@ -110,7 +112,8 @@ def coeff_g(ctx: AdeleContext, x, r: int, xi) -> FourierCoefficient:
         q = Fraction(1, ar) if xi == 0 else Fraction(0)
         return tuple.__new__(FourierCoefficient, (xi, complex(q), q))
     P, Q = _chi_residue(ctx, -x.numerator * xi.numerator, x.denominator * xi.denominator)
-    return tuple.__new__(FourierCoefficient, (xi, _closed_form(m, ar, P, Q, 1 + 0j), None))
+    value = _closed_form(m, ar, P, Q, complex(1.0))
+    return tuple.__new__(FourierCoefficient, (xi, value, None))
 
 
 def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:

@@ -464,7 +464,8 @@ def _from_pieces(xi: Fraction, scale: Fraction, osc: Fraction | None, phase: Fra
     if exact is not None:
         return FourierCoefficient(xi, complex(exact), exact)
     t = osc - math.floor(osc)
-    amp = 2.0 - 2.0 * math.cos(2.0 * math.pi * float(t))
+    s = math.sin(math.pi * float(min(t, 1 - t)))
+    amp = 4.0 * s * s
     u = phase - math.floor(phase)
     unit = cmath.exp(2j * math.pi * float(u))
     return FourierCoefficient(
