@@ -152,10 +152,10 @@ def _level_sum(a: int, ak: int, c: int) -> complex:
     return sum([cmath.exp(_NEG_TWO_PI_J * ((e * c % ak) / ak)) for e in range(a)])
 
 
-# The level factors of the levels with a^r <= _TABLE_TOP by (a, b, a^r, w),
-# since c_k depends on w mod a^k only, shared by all calls and filled as they
-# ask.  a never divides w, so a base pair keeps at most a^K - a factors, a^K
-# the largest tabled power: 2184 at 3/2, 4094 at a = 2.
+# The level factor of every level r with a^r <= _TABLE_TOP, by (a, b, a^r,
+# w mod a^r), since c_k depends on w mod a^k only; shared by all calls and
+# filled as they ask.  a never divides w, so a base pair keeps at most
+# a^K - a factors, a^K its largest tabled power: 2184 at 3/2, 4094 at a = 2.
 _TABLE_TOP = 1 << 12
 _prefixes: dict[tuple[int, int, int, int], complex] = {}
 
