@@ -9,7 +9,8 @@ containment checks instead of integer numerators over a^r and
 cross-multiplied integer checks, a Fraction lattice reduction instead of
 point location at level 0, Fraction character exponents instead of
 residues of m = xi b^r, Fraction SVG coordinates instead of integers over
-a common denominator, and numerical quadrature instead of closed forms.
+a common denominator, numerical quadrature instead of closed forms, and a
+400-digit Decimal series for sin instead of math.sin.
 Agreement between these and the library is the point of the tests, so
 nothing below imports anything fancier than frac_p, char_exponent,
 coeff_g, tile_corners and the stream's prefix builder.
@@ -21,6 +22,7 @@ import cmath
 import functools
 import itertools
 import math
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -539,6 +541,48 @@ def urysohn_series_ref(ctx: AdeleContext, d: int, r: int, z, cutoff: int) -> flo
         total += 2.0 * (c * complex(math.cos(ang), math.sin(ang))).real
     return total
 
+
+
+def _decimal_pi() -> Decimal:
+    """pi to the context precision, by the series of the decimal module's recipes."""
+    getcontext().prec += 2
+    three = Decimal(3)
+    lasts, t, total, n, na, d, da = 0, three, three, 1, 0, 0, 24
+    while total != lasts:
+        lasts = total
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        total += t
+    getcontext().prec -= 2
+    return +total
+
+
+def _decimal_sin(x: Decimal) -> Decimal:
+    """sin x by its Taylor series, to the context precision."""
+    getcontext().prec += 2
+    i, lasts, total, fact, num, sign = 1, 0, x, 1, x, 1
+    while total != lasts:
+        lasts = total
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign = -sign
+        total += num / fact * sign
+    getcontext().prec -= 2
+    return +total
+
+
+def bump_coefficient_decimal(a: int, r: int, m: int, digits: int = 400) -> Decimal:
+    """c_{0,r,m/b^r} = a^r / (4 m^2) |1 - e(m / a^r)|^2 / pi^2, with
+    |1 - e(t)|^2 = 4 sin^2(pi t) summed as a series at t = (m mod a^r) / a^r
+    itself, to `digits` digits: sin(pi t) near pi loses about log10(a^r)
+    of them, 154 at 3^322."""
+    ar = a**r
+    with localcontext() as context:
+        context.prec = digits
+        pi = _decimal_pi()
+        return ar * _decimal_sin(pi * (m % ar) / ar) ** 2 / (pi * pi * m * m)
 
 # ---------------------------------------------------------------------------
 # Fraction reference SVG: tiles_svg as it was before its coordinates moved to

@@ -1,10 +1,10 @@
 """Fourier data: closed forms vs quadrature, exact vanishing, series sums."""
 import math
-import sys
 import random
+import sys
 import time
 import tracemalloc
-from decimal import Decimal, getcontext, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,6 +13,7 @@ from ratbase import (
     AdeleContext,
     Base,
     DigitWord,
+    FourierCoefficient,
     Pattern,
     ScaleExceeded,
     char_exponent,
@@ -29,10 +30,9 @@ from ratbase import (
     urysohn_pattern_estimate,
 )
 from ratbase import fourier, numeration, patterns
-from ratbase.fourier import FourierCoefficient
 from ratbase.fourier import _TABLE_TOP, _SeriesCache, _fill_charge, _series_coeffs
-from helpers import (ORACLE_BASES, coeff_f_ref, coeff_f_sum, coeff_g_quadrature,
-                     coeff_g_ref, random_rational, urysohn_bruteforce,
+from helpers import (ORACLE_BASES, bump_coefficient_decimal, coeff_f_ref, coeff_f_sum,
+                     coeff_g_quadrature, coeff_g_ref, random_rational, urysohn_bruteforce,
                      urysohn_series_ref)
 
 DENS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 27]
@@ -446,36 +446,6 @@ def _oracle_frequencies(base, r, rng):
         yield Fraction(rng.randint(-10**5, 10**5), den)
 
 
-def _decimal_pi() -> Decimal:
-    """pi to the context precision, by the series of the decimal module's recipes."""
-    getcontext().prec += 2
-    three = Decimal(3)
-    lasts, t, total, n, na, d, da = 0, three, three, 1, 0, 0, 24
-    while total != lasts:
-        lasts = total
-        n, na = n + na, na + 8
-        d, da = d + da, da + 32
-        t = (t * n) / d
-        total += t
-    getcontext().prec -= 2
-    return +total
-
-
-def _decimal_sin(x: Decimal) -> Decimal:
-    """sin x by its Taylor series, to the context precision."""
-    getcontext().prec += 2
-    i, lasts, total, fact, num, sign = 1, 0, x, 1, x, 1
-    while total != lasts:
-        lasts = total
-        i += 2
-        fact *= i * (i - 1)
-        num *= x * x
-        sign = -sign
-        total += num / fact * sign
-    getcontext().prec -= 2
-    return +total
-
-
 class TestStableAmplitude:
     """|1 - e(m / a^r)|^2 against a high-precision series at every level
     the gate accepts, with m near 0 and near a^r, where 2 - 2 cos cancels."""
@@ -483,22 +453,18 @@ class TestStableAmplitude:
     @pytest.mark.parametrize("r", [14, 19, 40, 322])
     def test_bump_coefficient_against_a_decimal_series(self, ctx32, r):
         ar = 3**r
-        with localcontext() as context:
-            context.prec = 400  # sin(pi u / a^r) near pi loses ~154 digits at r = 322
-            pi = _decimal_pi()
-            for m in (1, 2, 5, ar - 2, ar - 1, ar + 1):
-                # c_{0,r,xi} = a^r / (4 m^2) |1 - e(m / a^r)|^2 / pi^2, a real number
-                want = ar * _decimal_sin(pi * (m % ar) / ar) ** 2 / (pi * pi * m * m)
-                got = coeff_g(ctx32, 0, r, Fraction(m, 2**r)).value
-                assert got.imag == 0
-                if want < Decimal(sys.float_info.min):
-                    # below the doubles (3^-966 at r = 322, m near a^r): reads 0
-                    assert got.real == 0, (r, m)
-                else:
-                    assert abs(Decimal(got.real) - want) <= Decimal("1e-12") * want, (r, m)
+        for m in (1, 2, 5, ar - 2, ar - 1, ar + 1):
+            want = bump_coefficient_decimal(3, r, m)
+            got = coeff_g(ctx32, 0, r, Fraction(m, 2**r)).value
+            assert got.imag == 0
+            if want < sys.float_info.min:
+                # below the doubles (3^-966 at r = 322, m near a^r): reads 0
+                assert got.real == 0, (r, m)
+            else:
+                assert abs(Decimal(got.real) - want) <= Decimal("1e-12") * want, (r, m)
 
     def test_tile_coefficient_at_level_nineteen(self, ctx32):
-        # 2 - 2 cos(2 pi / 3^19) is exactly 0.0, so this read 0j
+        # where 2 - 2 cos(2 pi / 3^19) rounds to 0.0
         c = coeff_f(ctx32, 1, 19, Fraction(1, 2**19))
         assert c.exact is None and abs(c.value) > 0
 
