@@ -37,12 +37,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .adelic import (AdeleContext, _box, _check_budget, _coordinates, _first_residue,
-                     _level, _split_b, max_enum, membership_point)
+                     _level, _split_b, max_enum)
 from .numeration import _check_digits
 
 # the constant factors of the angles, each computed as the expressions that
@@ -53,7 +52,21 @@ _NEG_TWO_PI_J = -2j * math.pi
 _PI_SQUARED = math.pi**2
 
 
-class FourierCoefficient(namedtuple("_Fields", "frequency value exact")):
+class _Strict(tuple):
+    """A tuple equal only to a tuple of its own type, with a hash that agrees."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class FourierCoefficient(_Strict, namedtuple("_Fields", "frequency value exact")):
     """One coefficient at frequency xi, with its value: an immutable 3-tuple
     equal only to another coefficient.
 
@@ -62,14 +75,6 @@ class FourierCoefficient(namedtuple("_Fields", "frequency value exact")):
     """
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is FourierCoefficient and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
 
 
 def _mode(xi: Fraction, ar: int, br: int) -> int | None:
@@ -288,19 +293,16 @@ def _direct(ctx: AdeleContext, d: int, r: int, ar: int, br: int, z: Fraction) ->
 # truncated series evaluation
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Report of a symmetric truncation at |xi b^r| <= cutoff."""
+class SeriesTruncation(_Strict, namedtuple("_Fields", "cutoff terms tail_bound")):
+    """Report of a symmetric truncation at |xi b^r| <= cutoff, of 2 cutoff + 1 terms."""
 
-    cutoff: int
-    terms: int
-    tail_bound: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SeriesEval:
-    value: float
-    truncation: SeriesTruncation
+class SeriesEval(_Strict, namedtuple("_Fields", "value truncation")):
+    """A series value, a float, with its SeriesTruncation."""
+
+    __slots__ = ()
 
 
 def series_tail_bound(ctx: AdeleContext, r: int, cutoff: int) -> float:
@@ -318,13 +320,24 @@ def series_tail_bound(ctx: AdeleContext, r: int, cutoff: int) -> float:
 _CacheInfo = namedtuple("_CacheInfo", "hits misses lists pairs")
 
 
+def _trim(table: dict, held: int) -> int:
+    """held, the items in table, after dropping its oldest entries down to 64
+    holding at most max_enum() items."""
+    cap = max_enum()
+    while len(table) > 64 or held > cap:
+        held -= len(table.pop(next(iter(table))))
+    return held
+
+
 class _SeriesCache:
-    """Coefficient lists of recent series calls, oldest first: at most 64
-    lists, holding at most max_enum() pairs in all."""
+    """Coefficient lists of recent series calls and the roots of unity of
+    recent denominators Q, oldest first: at most 64 of each, holding at most
+    max_enum() pairs and, counted apart, at most max_enum() roots."""
 
     def __init__(self) -> None:
         self.lists: dict[tuple, tuple[tuple[int, complex], ...]] = {}
-        self.hits = self.misses = self.pairs = 0
+        self.units: dict[int, list[complex]] = {}
+        self.hits = self.misses = self.pairs = self.roots = 0
 
     def __call__(self, ctx: AdeleContext, d: int, r: int,
                  cutoff: int) -> tuple[tuple[int, complex], ...]:
@@ -333,7 +346,7 @@ class _SeriesCache:
         Charged the _fill_charge of cutoff coefficients against the budget
         on a cache miss.
         """
-        key = (ctx, d, r, cutoff)
+        key = (ctx.base.a, ctx.base.b, d, r, cutoff)
         got = self.lists.get(key)
         if got is not None:
             self.hits += 1
@@ -342,10 +355,16 @@ class _SeriesCache:
         self.misses += 1
         values = _f_values(ctx, (d,), r, range(1, cutoff + 1))
         got = self.lists[key] = tuple((m, c) for m, (c,) in values if c != 0)
-        self.pairs += len(got)
-        cap = max_enum()
-        while len(self.lists) > 64 or self.pairs > cap:
-            self.pairs -= len(self.lists.pop(next(iter(self.lists))))
+        self.pairs = _trim(self.lists, self.pairs + len(got))
+        return got
+
+    def roots_of_unity(self, Q: int) -> list[complex]:
+        """e(j / Q) for j = 0..Q-1, each as complex(cos, sin) of 2 pi j / Q."""
+        got = self.units.get(Q)
+        if got is None:
+            got = self.units[Q] = [complex(math.cos(ang), math.sin(ang))
+                                   for ang in (_TWO_PI * j / Q for j in range(Q))]
+            self.roots = _trim(self.units, self.roots + Q)
         return got
 
     def cache_info(self) -> _CacheInfo:
@@ -376,8 +395,7 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
     total = 1.0 / a
     if Q <= len(pairs):
         # m P mod Q takes at most Q values: one root of unity per residue
-        units = [complex(math.cos(ang), math.sin(ang))
-                 for ang in (_TWO_PI * j / Q for j in range(Q))]
+        units = _series_coeffs.roots_of_unity(Q)
         for m, c in pairs:
             total += 2.0 * (c * units[m * P % Q]).real
     else:
@@ -385,8 +403,8 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
             ang = _TWO_PI * ((m * P) % Q) / Q
             w = complex(math.cos(ang), math.sin(ang))
             total += 2.0 * (c * w).real
-    trunc = SeriesTruncation(cutoff=cutoff, terms=2 * cutoff + 1, tail_bound=tail_bound)
-    return SeriesEval(value=total, truncation=trunc)
+    trunc = tuple.__new__(SeriesTruncation, (cutoff, 2 * cutoff + 1, tail_bound))
+    return tuple.__new__(SeriesEval, (total, trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +428,18 @@ def urysohn_pattern_estimate(ctx: AdeleContext, word: Sequence[int], k: int,
         raise ValueError("N must be nonnegative")
     _check_digits(ctx.base, w_lsf)
     _check_budget(max(N, 1) * len(w_lsf))
+    b = ctx.base.b
+    # the powers of the point b n / alpha^(k+j+1) that position k + j reads,
+    # taken where a product first reaches offset j
+    scales: list[tuple[int, int]] = []
     total = Fraction(0)
     for n in range(1, N + 1):
         prod = Fraction(1)
         for j, d in enumerate(w_lsf):
-            zz = membership_point(ctx, n, k + j)
-            prod *= _direct(ctx, d, r, ar, br, zz)
+            if j == len(scales):
+                scales.append(_level(ctx, k + j + 1))
+            ak, bk = scales[j]
+            prod *= _direct(ctx, d, r, ar, br, Fraction(n * bk * b, ak))
             if prod == 0:
                 break
         total += prod

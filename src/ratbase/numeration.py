@@ -155,7 +155,11 @@ def encode(base: Base, n: int) -> DigitWord:
         bn = b * n
         lsf.append(bn % a)
         n = bn // a
-    return DigitWord(base, tuple(reversed(lsf)))
+    # the recurrence's digits lie in 0..a-1 with a nonzero lead: skip the checks
+    word = object.__new__(DigitWord)
+    object.__setattr__(word, "base", base)
+    object.__setattr__(word, "digits", tuple(reversed(lsf)))
+    return word
 
 
 def _horner(a: int, b: int, digits: Sequence[int]) -> int:
@@ -177,10 +181,11 @@ def word_value(word: DigitWord) -> Fraction:
 
 def decode(word: DigitWord) -> int:
     """Integer named by a word; raises NotInLanguage if the value is fractional."""
-    v = word_value(word)
-    if v.denominator != 1:
-        raise NotInLanguage(f"word {word} has value {v}, not an integer")
-    return int(v)
+    b = word.base.b
+    n, rest = divmod(_horner(word.base.a, b, word.digits), b ** len(word.digits))
+    if rest:
+        raise NotInLanguage(f"word {word} has value {word_value(word)}, not an integer")
+    return n
 
 
 def digit(base: Base, n: int, k: int) -> int:

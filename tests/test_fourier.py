@@ -16,6 +16,8 @@ from ratbase import (
     FourierCoefficient,
     Pattern,
     ScaleExceeded,
+    SeriesEval,
+    SeriesTruncation,
     char_exponent,
     coeff_f,
     coeff_g,
@@ -120,6 +122,45 @@ class TestCoefficientType:
     def test_frozen_repr(self, ctx32):
         assert repr(coeff_f(ctx32, 1, 3, Fraction(3, 8))) == (
             "FourierCoefficient(frequency=Fraction(3, 8), value=0j, exact=Fraction(0, 1))")
+
+
+class TestSeriesTypes:
+    """SeriesEval and SeriesTruncation: named fields of immutable tuples that
+    equal only a value of their own type."""
+
+    def test_fields_and_keyword_construction(self, ctx32):
+        sv = eval_urysohn_series(ctx32, 1, 3, Fraction(3, 5), 50)
+        value, trunc = sv
+        cutoff, terms, tail_bound = trunc
+        assert (sv.value, sv.truncation) == (value, trunc)
+        assert (trunc.cutoff, trunc.terms, trunc.tail_bound) == (cutoff, terms, tail_bound)
+        assert (cutoff, terms, tail_bound) == (50, 101, series_tail_bound(ctx32, 3, 50))
+        assert SeriesTruncation(cutoff=50, terms=101, tail_bound=tail_bound) == trunc
+        assert SeriesEval(value=value, truncation=trunc) == sv == SeriesEval(value, trunc)
+
+    def test_fields_cannot_be_assigned(self, ctx32):
+        sv = eval_urysohn_series(ctx32, 1, 3, Fraction(3, 5), 50)
+        for obj, names in ((sv, ("value", "truncation", "other")),
+                           (sv.truncation, ("cutoff", "terms", "tail_bound", "other"))):
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, 0)
+
+    def test_equal_only_their_own_type(self, ctx32):
+        sv = eval_urysohn_series(ctx32, 1, 3, Fraction(3, 5), 50)
+        for obj in (sv, sv.truncation):
+            assert obj != tuple(obj) and tuple(obj) != obj
+            assert not obj == tuple(obj)
+        twin = SeriesEval(sv.value, SeriesTruncation(*sv.truncation))
+        assert sv == twin and not sv != twin
+        assert hash(sv) == hash(twin)
+        assert len({sv, twin, SeriesEval(1.0, sv.truncation)}) == 2
+        assert SeriesTruncation(1, 2, 3.0) != FourierCoefficient(1, 2, 3.0)
+
+    def test_frozen_repr(self, ctx32):
+        assert repr(eval_urysohn_series(ctx32, 1, 0, Fraction(1, 3), 10)) == (
+            "SeriesEval(value=0.3333333333333333, truncation=SeriesTruncation("
+            "cutoff=10, terms=21, tail_bound=0.006754745576155851))")
 
 
 class TestTileCoefficient:
@@ -410,6 +451,37 @@ class TestBudget:
         misses = _series_coeffs.cache_info().misses
         eval_urysohn_series(ctx32, 0, 2, Fraction(1, 3), cutoff=90)
         assert _series_coeffs.cache_info().misses == misses + 1
+
+    def test_roots_served_cold_and_warm_agree(self, ctx32, monkeypatch):
+        # Q = 1..5 at 3/2 r = 3 cutoff 50: at most the 34 nonzero terms
+        for den in (1, 3, 5, 9, 15, 25):
+            for num in (1, 2, 7):
+                cache = _SeriesCache()
+                monkeypatch.setattr(fourier, "_series_coeffs", cache)
+                z = Fraction(num, den)
+                cold = eval_urysohn_series(ctx32, 1, 3, z, 50)
+                assert list(cache.units) == [den]
+                assert repr(eval_urysohn_series(ctx32, 1, 3, z, 50)) == repr(cold)
+                assert cache.roots == den and cache.cache_info().hits == 1
+
+    def test_root_tables_stay_within_their_bounds(self, ctx32, monkeypatch):
+        # the 3/2 r = 1 list of cutoff 400 keeps 267 pairs, so every odd
+        # Q < 267 is served from a root table
+        cache = _SeriesCache()
+        monkeypatch.setattr(fourier, "_series_coeffs", cache)
+        for Q in range(1, 200, 2):
+            eval_urysohn_series(ctx32, 1, 1, Fraction(1, Q), 400)
+            assert len(cache.units) <= 64
+        assert list(cache.units) == list(range(73, 200, 2))
+        assert cache.roots == sum(map(len, cache.units.values()))
+        cache = _SeriesCache()
+        monkeypatch.setattr(fourier, "_series_coeffs", cache)
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
+        for Q in range(101, 200, 2):
+            eval_urysohn_series(ctx32, 1, 1, Fraction(1, Q), 400)
+            assert cache.roots == sum(map(len, cache.units.values())) <= 1000
+        assert list(cache.units) == [191, 193, 195, 197, 199]
+        assert cache.cache_info().pairs == 267
 
     def test_fills_are_charged_their_untabled_levels(self, ctx32, monkeypatch):
         # at 3/2 the levels with 3^k <= 4096 are k <= 7; r = 9 adds two

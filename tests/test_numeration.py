@@ -1,4 +1,5 @@
 """Digit expansions: frozen values, serialization, and arithmetic laws."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from ratbase import (
     sum_of_digits,
     word_value,
 )
-from helpers import BASES, literal_value, word_digits
+from helpers import BASES, ORACLE_BASES, literal_value, word_digits
 
 WORDS_32 = ["2", "21", "210", "212", "2101", "2120", "2122", "21011", "21200", "21202"]
 SOD_32 = [2, 3, 3, 5, 4, 5, 7, 5, 5, 7]
@@ -114,11 +115,21 @@ class TestValueAndDecode:
             assert word_value(w) == literal_value(b32, w.digits) == n
 
     def test_decode_rejects_non_integer_words(self, b32):
-        for text in ["1", "11", "22", "121"]:
+        for text, value in [("1", "1/2"), ("11", "5/4"), ("22", "5/2"), ("121", "25/8")]:
             word = DigitWord(b32, parse_digits(b32, text))
-            assert word_value(word).denominator > 1
-            with pytest.raises(NotInLanguage):
+            assert str(word_value(word)) == value
+            with pytest.raises(NotInLanguage, match=f"^word {text} has value {value}, not an integer$"):
                 decode(word)
+
+    @pytest.mark.parametrize("base", ORACLE_BASES, ids=str)
+    def test_encode_gives_a_checked_word(self, base):
+        # encode builds its word without the constructor's checks
+        rng = random.Random(f"encode {base}")
+        ns = list(range(300)) + [rng.randrange(10**e) for e in range(3, 31) for _ in range(4)]
+        for n in ns + [10**30]:
+            word = encode(base, n)
+            assert word == DigitWord(base, word.digits) and type(word.digits) is tuple
+            assert decode(word) == n
 
     def test_not_in_language_is_a_value_error(self):
         assert issubclass(NotInLanguage, ValueError)
