@@ -627,7 +627,9 @@ def fiber_interval(ctx: AdeleContext, c: Fraction, r: int,
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     _, br = _level(ctx, r)
-    num, _ = _fiber_numerator(ctx, Fraction(c), r - 1, scheme)
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    num, _ = _fiber_numerator(ctx, c, r - 1, scheme)
     step = ctx.base.b if scheme == "alpha-digits" else 1
     return Fraction(num * step, br), Fraction((num + 1) * step, br)
 

@@ -30,6 +30,11 @@ a^K <= 2^12 are kept for the life of the process in one table that
 coeff_f, the tables and the series all read, filled as calls first ask:
 at most a^K - a per base pair.  A product is the same expression whether
 it is computed or read, so every value is bit-identical either way.
+
+A series at a point whose character has denominator Q <= its nonzero terms
+sums them by residue rho = m mod Q, whose terms share one root of unity:
+the coefficients of each residue are summed once per (coefficient list, Q)
+and kept, so a call that finds them held costs O(Q), not O(cutoff).
 """
 
 from __future__ import annotations
@@ -320,24 +325,31 @@ def series_tail_bound(ctx: AdeleContext, r: int, cutoff: int) -> float:
 _CacheInfo = namedtuple("_CacheInfo", "hits misses lists pairs")
 
 
-def _trim(table: dict, held: int) -> int:
+def _trim(table: dict, held: int, cap: int) -> int:
     """held, the items in table, after dropping its oldest entries down to 64
-    holding at most max_enum() items."""
-    cap = max_enum()
+    holding at most cap items."""
     while len(table) > 64 or held > cap:
         held -= len(table.pop(next(iter(table))))
     return held
 
 
 class _SeriesCache:
-    """Coefficient lists of recent series calls and the roots of unity of
-    recent denominators Q, oldest first: at most 64 of each, holding at most
-    max_enum() pairs and, counted apart, at most max_enum() roots."""
+    """Coefficient lists of recent series calls, the roots of unity of recent
+    denominators Q and the folds of recent (list, Q), oldest first: at most
+    64 of each, holding at most max_enum() pairs, roots and fold terms, each
+    counted apart.  Every store trims all three against the cap it reads."""
 
     def __init__(self) -> None:
         self.lists: dict[tuple, tuple[tuple[int, complex], ...]] = {}
         self.units: dict[int, list[complex]] = {}
-        self.hits = self.misses = self.pairs = self.roots = 0
+        self.folds: dict[tuple, tuple[tuple[int, complex], ...]] = {}
+        self.hits = self.misses = self.pairs = self.roots = self.folded = 0
+
+    def _evict(self) -> None:
+        cap = max_enum()
+        self.pairs = _trim(self.lists, self.pairs, cap)
+        self.roots = _trim(self.units, self.roots, cap)
+        self.folded = _trim(self.folds, self.folded, cap)
 
     def __call__(self, ctx: AdeleContext, d: int, r: int,
                  cutoff: int) -> tuple[tuple[int, complex], ...]:
@@ -355,7 +367,8 @@ class _SeriesCache:
         self.misses += 1
         values = _f_values(ctx, (d,), r, range(1, cutoff + 1))
         got = self.lists[key] = tuple((m, c) for m, (c,) in values if c != 0)
-        self.pairs = _trim(self.lists, self.pairs + len(got))
+        self.pairs += len(got)
+        self._evict()
         return got
 
     def roots_of_unity(self, Q: int) -> list[complex]:
@@ -364,7 +377,25 @@ class _SeriesCache:
         if got is None:
             got = self.units[Q] = [complex(math.cos(ang), math.sin(ang))
                                    for ang in (_TWO_PI * j / Q for j in range(Q))]
-            self.roots = _trim(self.units, self.roots + Q)
+            self.roots += Q
+            self._evict()
+        return got
+
+    def fold(self, key: tuple, pairs: tuple[tuple[int, complex], ...]
+             ) -> tuple[tuple[int, complex], ...]:
+        """The nonzero (rho, C_rho), C_rho the sum in order of m of the c of
+        pairs with m = rho mod Q.  key is the list's own key and then Q, so
+        a fold stays right after its list is evicted."""
+        got = self.folds.get(key)
+        if got is None:
+            Q = key[-1]
+            sums: dict[int, complex] = {}
+            for m, c in pairs:
+                rho = m % Q
+                sums[rho] = sums.get(rho, 0j) + c
+            got = self.folds[key] = tuple((rho, c) for rho, c in sums.items() if c != 0)
+            self.folded += len(got)
+            self._evict()
         return got
 
     def cache_info(self) -> _CacheInfo:
@@ -382,6 +413,13 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
     partial sum is real by construction; the truncation error is bounded by
     series_tail_bound.  The character of m z / b^r is e(m P / Q), with
     chi~(z / b^r) = e(P / Q) read as an integer residue.
+
+    Where Q is at most the nonzero terms, the terms of one residue rho of m
+    mod Q share e(rho P / Q), so the sum is read from the cached fold
+    C_rho of the coefficients: O(pairs) once per (coefficient list, Q), then
+    O(Q) per call.  Folding reorders the float additions, so such a value
+    may differ from the term-by-term sum in its last bits; elsewhere the
+    terms are summed one by one, in order of m.
     """
     a, b = ctx.base.a, ctx.base.b
     _check_digits(ctx.base, (d,))
@@ -394,10 +432,9 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
     P = P * pow(b, -r, Q) % Q
     total = 1.0 / a
     if Q <= len(pairs):
-        # m P mod Q takes at most Q values: one root of unity per residue
         units = _series_coeffs.roots_of_unity(Q)
-        for m, c in pairs:
-            total += 2.0 * (c * units[m * P % Q]).real
+        for rho, c in _series_coeffs.fold((a, b, d, r, cutoff, Q), pairs):
+            total += 2.0 * (c * units[rho * P % Q]).real
     else:
         for m, c in pairs:
             ang = _TWO_PI * ((m * P) % Q) / Q

@@ -542,6 +542,34 @@ def urysohn_series_ref(ctx: AdeleContext, d: int, r: int, z, cutoff: int) -> flo
     return total
 
 
+def urysohn_series_decimal(ctx: AdeleContext, d: int, r: int, z, cutoff: int,
+                           digits: int = 50) -> tuple[Decimal, Decimal]:
+    """The symmetric partial character sum in `digits`-digit Decimal, taking
+    coeff_f_ref's float coefficients as exact values, with its mass
+    1/a + 2 sum |c_m|: what rounding in the float sum is measured against."""
+    a, b = ctx.base.a, ctx.base.b
+    theta = char_exponent(ctx, Fraction(z) / b**r)
+    theta -= math.floor(theta)
+    P, Q = theta.numerator, theta.denominator
+    with localcontext() as context:
+        context.prec = digits
+        pi = _decimal_pi()
+        units: dict[int, tuple[Decimal, Decimal]] = {}
+        total = mass = 1 / Decimal(a)
+        for m in range(1, cutoff + 1):
+            c = coeff_f_ref(ctx, d, r, Fraction(m, b**r)).value
+            if c == 0:
+                continue
+            j = m * P % Q
+            if j not in units:
+                ang = 2 * pi * j / Q
+                units[j] = (_decimal_sin(pi / 2 - ang), _decimal_sin(ang))
+            cos, sin = units[j]
+            total += 2 * (Decimal(c.real) * cos - Decimal(c.imag) * sin)
+            mass += 2 * Decimal(abs(c))
+        return +total, +mass
+
+
 
 def _decimal_pi() -> Decimal:
     """pi to the context precision, by the series of the decimal module's recipes."""

@@ -465,6 +465,17 @@ class TestFibers:
             lo, hi = fiber_interval(ctx32, c, r, scheme="p-adic-digits")
             assert hi - lo == Fraction(1, 2**r)
 
+    def test_interval_of_int_str_and_fraction_corners(self, ctx32):
+        for scheme in ("alpha-digits", "p-adic-digits"):
+            for r in (1, 3):
+                for n in (0, 7, -5):
+                    want = fiber_interval(ctx32, Fraction(n), r, scheme)
+                    assert fiber_interval(ctx32, n, r, scheme) == want
+                    assert fiber_interval(ctx32, str(n), r, scheme) == want
+                want = fiber_interval(ctx32, Fraction(-7, 9), r, scheme)
+                assert fiber_interval(ctx32, "-7/9", r, scheme) == want
+                assert want == fiber_interval_ref(ctx32, Fraction(-7, 9), r, scheme)
+
     def test_ball_images_tile_the_fiber_axis(self, ctx32):
         # every level-r corner is b times an a-power fraction, so the first
         # 2-adic digit is 0 and the corner balls tile exactly [0, 1/2)

@@ -228,6 +228,22 @@ class TestVerifyCommand:
         assert r.returncode == 0
         assert "FAIL" not in r.stdout
 
+    @pytest.mark.parametrize("a, b, vanishing, series", [
+        (3, 2, 16, "3.38e-03 <= bound 1.23e-01"),
+        (5, 3, 16, "1.66e-02 <= bound 1.58e+00"),
+        (7, 4, 16, "4.77e-02 <= bound 8.51e+00"),
+    ])
+    def test_fourier_suite_output_is_pinned(self, a, b, vanishing, series, capsys):
+        # what the suite printed when every series was summed term by term
+        from ratbase import cli
+        for seed in range(6):
+            assert cli.main(["verify", "--a", str(a), "--b", str(b), "--suite",
+                             "fourier", "--seed", str(seed)]) == 0
+            assert capsys.readouterr() == (
+                f"zero_mode r=4: PASS (1/{a} at xi=0)\n"
+                f"vanishing r=4: PASS ({vanishing} frequencies)\n"
+                f"series_vs_direct r=3: PASS (max err {series})\n", "")
+
     def test_all_suites(self):
         r = run_cli("verify", *BASE32, "--suite", "all", "--r", "4", "--N", "200")
         assert r.returncode == 0

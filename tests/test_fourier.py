@@ -35,7 +35,7 @@ from ratbase import fourier, numeration, patterns
 from ratbase.fourier import _TABLE_TOP, _SeriesCache, _fill_charge, _series_coeffs
 from helpers import (ORACLE_BASES, bump_coefficient_decimal, coeff_f_ref, coeff_f_sum,
                      coeff_g_quadrature, coeff_g_ref, random_rational, urysohn_bruteforce,
-                     urysohn_series_ref)
+                     urysohn_series_decimal, urysohn_series_ref)
 
 DENS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 27]
 
@@ -461,8 +461,10 @@ class TestBudget:
                 z = Fraction(num, den)
                 cold = eval_urysohn_series(ctx32, 1, 3, z, 50)
                 assert list(cache.units) == [den]
+                assert list(cache.folds) == [(3, 2, 1, 3, 50, den)]
                 assert repr(eval_urysohn_series(ctx32, 1, 3, z, 50)) == repr(cold)
                 assert cache.roots == den and cache.cache_info().hits == 1
+                assert cache.folded == len(cache.folds[3, 2, 1, 3, 50, den]) <= den
 
     def test_root_tables_stay_within_their_bounds(self, ctx32, monkeypatch):
         # the 3/2 r = 1 list of cutoff 400 keeps 267 pairs, so every odd
@@ -471,17 +473,62 @@ class TestBudget:
         monkeypatch.setattr(fourier, "_series_coeffs", cache)
         for Q in range(1, 200, 2):
             eval_urysohn_series(ctx32, 1, 1, Fraction(1, Q), 400)
-            assert len(cache.units) <= 64
+            assert len(cache.units) <= 64 and len(cache.folds) <= 64
         assert list(cache.units) == list(range(73, 200, 2))
         assert cache.roots == sum(map(len, cache.units.values()))
+        assert cache.folded == sum(map(len, cache.folds.values()))
         cache = _SeriesCache()
         monkeypatch.setattr(fourier, "_series_coeffs", cache)
         monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
         for Q in range(101, 200, 2):
             eval_urysohn_series(ctx32, 1, 1, Fraction(1, Q), 400)
             assert cache.roots == sum(map(len, cache.units.values())) <= 1000
+            assert cache.folded == sum(map(len, cache.folds.values())) <= 1000
         assert list(cache.units) == [191, 193, 195, 197, 199]
         assert cache.cache_info().pairs == 267
+
+    @pytest.mark.parametrize("store", ["list", "roots", "fold"])
+    def test_any_store_trims_every_table_to_the_cap(self, ctx32, monkeypatch, store):
+        cache = _SeriesCache()
+        monkeypatch.setattr(fourier, "_series_coeffs", cache)
+        for Q in range(1, 120, 2):
+            eval_urysohn_series(ctx32, Q % 3, 1, Fraction(1, Q), 400 + Q)
+        assert min(cache.pairs, cache.roots, cache.folded) > 1000
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
+        if store == "list":
+            cache(ctx32, 1, 2, 30)
+        elif store == "roots":
+            cache.roots_of_unity(2)
+        else:
+            cache.fold((3, 2, 2, 1, 519, 2), cache.lists[3, 2, 2, 1, 519])
+        assert cache.pairs == sum(map(len, cache.lists.values())) <= 1000
+        assert cache.roots == sum(map(len, cache.units.values())) <= 1000
+        assert cache.folded == sum(map(len, cache.folds.values())) <= 1000
+        # the last call's list, roots and fold are still held, so it reads no cap
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "no cap")
+        eval_urysohn_series(ctx32, 2, 1, Fraction(1, 119), 519)
+
+    def test_fold_at_one_residue(self, ctx32, monkeypatch):
+        # an integer z has Q = 1: every term shares e(0) = 1
+        monkeypatch.setattr(fourier, "_series_coeffs", _SeriesCache())
+        for z in (0, 5, Fraction(-7)):
+            for r in (1, 2, 3):
+                _check_series(ctx32, 1, r, z, 40)
+                assert len(fourier._series_coeffs.folds[3, 2, 1, r, 40, 1]) == 1
+
+    def test_folds_outlive_their_lists(self, ctx32, monkeypatch):
+        # 70 lists, so the first ones and their folds are evicted and
+        # filled again while newer folds stay held
+        cache = _SeriesCache()
+        monkeypatch.setattr(fourier, "_series_coeffs", cache)
+        points = [(cutoff, Fraction(num, den)) for cutoff in range(20, 90)
+                  for num, den in ((1, 5), (2, 3))]
+        first = [eval_urysohn_series(ctx32, 2, 2, z, cutoff) for cutoff, z in points]
+        assert len(cache.lists) == 64 and cache.cache_info().misses == 70
+        again = [eval_urysohn_series(ctx32, 2, 2, z, cutoff) for cutoff, z in points[::-1]]
+        assert list(map(repr, again[::-1])) == list(map(repr, first))
+        for cutoff, z in points[::7]:
+            _check_series(ctx32, 2, 2, z, cutoff)
 
     def test_fills_are_charged_their_untabled_levels(self, ctx32, monkeypatch):
         # at 3/2 the levels with 3^k <= 4096 are k <= 7; r = 9 adds two
@@ -588,21 +635,36 @@ class TestIntegerFourierOracles:
         for i in range(24):
             z = Fraction(rng.randint(-10**4, 10**4), rng.choice(dens))
             r, d, cutoff = i % 4, rng.randrange(a), rng.choice([1, 9, 40])
-            got = eval_urysohn_series(ctx, d, r, z, cutoff)
-            assert repr(got.value) == repr(urysohn_series_ref(ctx, d, r, z, cutoff)), (z, r)
+            got = _check_series(ctx, d, r, z, cutoff)
             assert got.truncation.terms == 2 * cutoff + 1
-        # at cutoff 400 both sides of the series' choice run: one root of
-        # unity per residue where Q <= the nonzero terms, one per term where a
-        # large prime in the denominator puts Q above them
+        # at cutoff 400 both sides of the series' choice run: a fold by
+        # residue where Q <= the nonzero terms, one root of unity per term
+        # where a large prime in the denominator puts Q above them
         sides = set()
         for i, den in enumerate([1, 7, 11 * 13, a * b**4, 1000003, 999983 * b**2]):
             z = Fraction(rng.randint(-10**6, 10**6), den)
             r, d = 1 + i % 3, rng.randrange(a)
             Q = (char_exponent(ctx, z / b**r) % 1).denominator
             sides.add(Q <= len(_series_coeffs(ctx, d, r, 400)))
-            got = eval_urysohn_series(ctx, d, r, z, 400)
-            assert repr(got.value) == repr(urysohn_series_ref(ctx, d, r, z, 400)), (z, r)
+            _check_series(ctx, d, r, z, 400)
         assert sides == {True, False}
+
+
+def _check_series(ctx, d, r, z, cutoff) -> SeriesEval:
+    """eval_urysohn_series, bit-equal to urysohn_series_ref where it sums
+    term by term (Q above the nonzero terms); where it folds, which
+    reorders the additions, it and the reference each lie within 1e-13 of
+    the series' mass of the Decimal sum."""
+    got = eval_urysohn_series(ctx, d, r, z, cutoff)
+    ref = urysohn_series_ref(ctx, d, r, z, cutoff)
+    Q = (char_exponent(ctx, Fraction(z) / ctx.base.b**r) % 1).denominator
+    if Q > len(_series_coeffs(ctx, d, r, cutoff)):
+        assert repr(got.value) == repr(ref), (z, r)
+    else:
+        want, mass = urysohn_series_decimal(ctx, d, r, z, cutoff)
+        for value in (got.value, ref):
+            assert abs(Decimal(value) - want) <= Decimal("1e-13") * mass, (z, r, value)
+    return got
 
 
 def _table_ref(ctx, digits, r, max_m):
