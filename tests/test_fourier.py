@@ -658,7 +658,7 @@ def _check_series(ctx, d, r, z, cutoff) -> SeriesEval:
     got = eval_urysohn_series(ctx, d, r, z, cutoff)
     ref = urysohn_series_ref(ctx, d, r, z, cutoff)
     Q = (char_exponent(ctx, Fraction(z) / ctx.base.b**r) % 1).denominator
-    if Q > len(_series_coeffs(ctx, d, r, cutoff)):
+    if Q > len(fourier._series_coeffs(ctx, d, r, cutoff)):
         assert repr(got.value) == repr(ref), (z, r)
     else:
         want, mass = urysohn_series_decimal(ctx, d, r, z, cutoff)
