@@ -3,6 +3,11 @@
 Every command is deterministic given its flags; sampling commands take an
 explicit --seed.  Exit codes: 0 success, 1 verification failure, 2 word not
 in the language, 3 enumeration budget exceeded, 64 usage error.
+
+Each command returns its whole output with its exit code, and main writes
+it once: to --out where the command has that flag (stdout stays empty), to
+stdout otherwise.  A command therefore prints all of its output or none;
+verify's lines appear once every check has run.
 """
 
 from __future__ import annotations
@@ -83,14 +88,6 @@ def _translates(text: str) -> tuple[int, Iterable[Fraction]]:
     return len(shifts), shifts
 
 
-def _write_out(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _base_of(args) -> Base:
     return Base(args.a, args.b)
 
@@ -99,82 +96,71 @@ def _base_of(args) -> Base:
 # commands
 
 
-def cmd_encode(args) -> int:
-    print(str(encode(_base_of(args), args.n)))
-    return EXIT_OK
+def cmd_encode(args) -> tuple[str, int]:
+    return f"{encode(_base_of(args), args.n)}\n", EXIT_OK
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> tuple[str, int]:
     base = _base_of(args)
     try:
         word = DigitWord.parse(base, args.word)
     except ValueError as exc:  # malformed or out-of-alphabet: not in the language
         raise NotInLanguage(str(exc)) from exc
-    print(decode(word))
-    return EXIT_OK
+    return f"{decode(word)}\n", EXIT_OK
 
 
-def cmd_patterns(args) -> int:
+def cmd_patterns(args) -> tuple[str, int]:
     base = _base_of(args)
     pattern = Pattern.parse(base, args.w)
     if args.k is not None:
         if args.horizons or args.format == "json":
             raise ValueError("--k takes neither --horizons nor --format json")
         n = count_pattern_at(base, pattern, args.k, args.N, padded=args.padded)
-        _write_out(args, f"{n}\n")
-        return EXIT_OK
+        return f"{n}\n", EXIT_OK
     if args.padded:
         raise ValueError("--padded needs --k")
     if args.horizons:
         rows = asymptotic_report(base, pattern, args.horizons)
-        text = report_json(rows) if args.format == "json" else report_csv(rows)
-        _write_out(args, text)
-        return EXIT_OK
+        return (report_json(rows) if args.format == "json" else report_csv(rows),
+                EXIT_OK)
     stats = count_pattern(base, pattern, args.N)
-    if args.format == "json":
-        _write_out(args, json.dumps({
-            "base": f"{base.a}/{base.b}",
-            "pattern": str(pattern),
-            "N": stats.N,
-            "total": stats.total,
-            "per_position": {str(k): v for k, v in stats.per_position.items()},
-            "padded_per_position": {str(k): v
-                                    for k, v in stats.padded_per_position.items()},
-        }, indent=2) + "\n")
-    else:
-        print(f"total {stats.total}")
-    return EXIT_OK
+    if args.format != "json":
+        return f"total {stats.total}\n", EXIT_OK
+    return json.dumps({
+        "base": f"{base.a}/{base.b}",
+        "pattern": str(pattern),
+        "N": stats.N,
+        "total": stats.total,
+        "per_position": {str(k): v for k, v in stats.per_position.items()},
+        "padded_per_position": {str(k): v
+                                for k, v in stats.padded_per_position.items()},
+    }, indent=2) + "\n", EXIT_OK
 
 
-def cmd_sod_sum(args) -> int:
-    print(summatory_sod(_base_of(args), args.N))
-    return EXIT_OK
+def cmd_sod_sum(args) -> tuple[str, int]:
+    return f"{summatory_sod(_base_of(args), args.N)}\n", EXIT_OK
 
 
-def cmd_stream(args) -> int:
+def cmd_stream(args) -> tuple[str, int]:
     base = _base_of(args)
-    print(format_digits(base, champernowne_prefix_array(base, args.N)))
-    return EXIT_OK
+    return f"{format_digits(base, champernowne_prefix_array(base, args.N))}\n", EXIT_OK
 
 
-def cmd_tiles(args) -> int:
+def cmd_tiles(args) -> tuple[str, int]:
     ctx = AdeleContext(_base_of(args))
     count, translates = args.translates
     # render_tiles charges the same amount, but only once it holds the list
     ar, _ = _level(ctx, args.r, charged=args.r)
     _check_budget(max(count, 1) * ar)
     rects = render_tiles(ctx, args.r, translates, scheme=args.scheme)
-    text = tiles_csv(rects) if args.format == "csv" else tiles_svg(rects)
-    _write_out(args, text)
-    return EXIT_OK
+    return tiles_csv(rects) if args.format == "csv" else tiles_svg(rects), EXIT_OK
 
 
-def cmd_fourier(args) -> int:
+def cmd_fourier(args) -> tuple[str, int]:
     base = _base_of(args)
     ctx = AdeleContext(base)
     digits = [args.d] if args.d is not None else list(range(base.a))
-    _write_out(args, coefficient_table(ctx, digits, args.r, args.max_xi))
-    return EXIT_OK
+    return coefficient_table(ctx, digits, args.r, args.max_xi), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +331,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     ctx = AdeleContext(_base_of(args))
     suites = [_SUITES[name](ctx, args) for name in names]
@@ -354,13 +340,10 @@ def cmd_verify(args) -> int:
     charges = [charge for suite in suites for charge in next(suite)]
     for charge in charges:
         _check_budget(charge)
-    failed = 0
-    for suite in suites:
-        for check, ok, detail in suite:
-            print(f"{check}: {'PASS' if ok else 'FAIL'} ({detail})")
-            if not ok:
-                failed += 1
-    return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
+    results = [result for suite in suites for result in suite]
+    text = "".join(f"{check}: {'PASS' if ok else 'FAIL'} ({detail})\n"
+                   for check, ok, detail in results)
+    return text, EXIT_OK if all(ok for _, ok, _ in results) else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +433,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
     except NotInLanguage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_IN_LANGUAGE
@@ -459,7 +442,12 @@ def main(argv=None) -> int:
         return EXIT_SCALE
     except ValueError as exc:
         parser.error(str(exc))
-    return EXIT_OK
+    if getattr(args, "out", None):
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -16,6 +16,11 @@ In space f_{d,r} is read from two boxes: with x the corner of the level-r
 box holding z, h = alpha^(-r) and theta = (z - x) / h,
 f_{d,r}(Phi(z)) = (1 - theta) [digit(x) = d] + theta [digit(x + h) = d].
 
+So urysohn_pattern_estimate is the padded count S'_{k,w}(N) exactly once
+r >= k + |w|: position k + j reads z = b n / alpha^(k+j+1), and
+z alpha^r = n a^(r-k-j-1) b^(k+j+2-r) lies in Z[1/b], so every point sits
+on a level-r box corner, theta = 0, and each factor is a digit indicator.
+
 All frequency bookkeeping is exact and runs on integers.  On the support
 xi = m / b^r every character exponent coeff_f needs is m times a fixed
 rational mod 1, kept as an integer residue over a power of a (gcd(a, b) = 1

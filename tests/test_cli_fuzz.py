@@ -1,8 +1,10 @@
-"""Fuzz the level flags of tiles, fourier and verify through main, in-process.
+"""Fuzz every command's flags through main, in-process.
 
-argv is built from build_parser()'s own actions: every flag of the command
-that is required, or drawn, gets a value.  The level and count flags take
-edge values around the largest accepted level (322 at 3/2) and the cap.
+argv is built from build_parser()'s own actions: every flag or argument of
+the command that is required, or drawn, gets a value.  The level and count
+flags take edge values around the largest accepted level (322 at 3/2), the
+cap and the largest count accepted (4300 decimal digits), and malformed
+values.  The other values include malformed words, empty lists and 1/0.
 """
 import argparse
 import contextlib
@@ -15,16 +17,26 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from ratbase.cli import build_parser, main
 
-COMMANDS = ("tiles", "fourier", "verify")
-EDGES = ("0", "1", "2", "322", "323", "100000", "10000000", "1e30")
+LEVEL_COMMANDS = ("tiles", "fourier", "verify")
+OTHER_COMMANDS = ("encode", "decode", "patterns", "sod-sum", "stream")
+EDGES = ("0", "1", "2", "322", "323", "100000", "10000000", "1e30",
+         "-1", "1e4300", "1/0")
 LEVEL_FLAGS = ("--r", "--resolution", "--max-xi", "--N", "--cutoff")
 # (a, b) pairs; 4/2 is not a base
 BASES = (("3", "2"), ("5", "3"), ("10", "1"), ("4", "2"))
-# values for the other flags that take one; --out would write files
+# values for the other flags and arguments that take one; --out would
+# write files
 OTHER_VALUES = {
     "--d": ("0", "1", "-1", "9"),
     "--seed": ("0", "7"),
     "--translates": ("0", "-1,1", "0..2", "1/3"),
+    "n": ("0", "7", "2026", "-1", "1e30", "1e4299", "1e4300", "1/0", ""),
+    "word": ("21011", "2122", "1", "0", "", "9x", "(1,2)", "1/0", "-1",
+             "2" * 60),
+    "--w": ("2", "21", "0", "", "9", "(1,0)", "(12,0,7)", "1/0", "-1"),
+    "--k": ("0", "2", "40", "-1", "1e4300", "1/0"),
+    "--horizons": ("1e4", "10,1e5", "1e30", "", ",", "-1", "1e4299",
+                   "1e4300", "1/0"),
 }
 CALL_SECONDS = 20
 
@@ -36,22 +48,27 @@ def _commands() -> dict[str, argparse.ArgumentParser]:
 
 
 @st.composite
-def argvs(draw) -> list[str]:
-    name = draw(st.sampled_from(COMMANDS))
+def argvs(draw, commands: tuple[str, ...]) -> list[str]:
+    name = draw(st.sampled_from(commands))
     a, b = draw(st.sampled_from(BASES))
     argv = [name, "--a", a, "--b", b]
     for action in _commands()[name]._actions:
         flag = action.option_strings[-1] if action.option_strings else None
         if flag in ("--help", "--a", "--b", "--out"):
             continue
+        if not (action.required or draw(st.booleans())):
+            continue
+        if action.nargs == 0:  # --padded
+            argv.append(flag)
+            continue
         if flag in LEVEL_FLAGS:
             values = EDGES
         elif action.choices:
             values = tuple(action.choices)
         else:
-            values = OTHER_VALUES[flag]
-        if action.required or draw(st.booleans()):
-            argv += [flag, draw(st.sampled_from(values))]
+            values = OTHER_VALUES[flag or action.dest]
+        value = draw(st.sampled_from(values))
+        argv += [flag, value] if flag else [value]
     return argv
 
 
@@ -79,14 +96,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@seed(0)
-@settings(max_examples=120, database=None, deadline=None)
-@given(argvs())
-# verify argv whose boundary tubes exceed the cap after other suites'
-# charges fit it; the seed-0 draws never reach such a call
-@example(["verify", "--a", "5", "--b", "3"])
-@example(["verify", "--a", "10", "--b", "1", "--r", "2", "--N", "1", "--seed", "7"])
-def test_level_flags_exit_cleanly(argv):
+def _check(argv: list[str]) -> None:
     with mock.patch.dict(os.environ, {"RATBASE_MAX_ENUM": str(2 * 10**5)}):
         code, out, err = _run(argv)
     assert code in (0, 1, 2, 3, 64), argv
@@ -94,5 +104,25 @@ def test_level_flags_exit_cleanly(argv):
     if code in (2, 3, 64):
         assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
         assert out == "", (argv, out)
+    if code in (0, 1):
+        assert err == "", (argv, err)
     if code == 1:
         assert any(": FAIL (" in line for line in out.splitlines()), (argv, out)
+
+
+@seed(0)
+@settings(max_examples=120, database=None, deadline=None)
+@given(argvs(LEVEL_COMMANDS))
+# verify argv whose boundary tubes exceed the cap after other suites'
+# charges fit it; the seed-0 draws need not reach such a call
+@example(["verify", "--a", "5", "--b", "3"])
+@example(["verify", "--a", "10", "--b", "1", "--r", "2", "--N", "1", "--seed", "7"])
+def test_level_flags_exit_cleanly(argv):
+    _check(argv)
+
+
+@seed(0)
+@settings(max_examples=200, database=None, deadline=None)
+@given(argvs(OTHER_COMMANDS))
+def test_every_other_command_exits_cleanly(argv):
+    _check(argv)

@@ -1,4 +1,5 @@
 """Fourier data: closed forms vs quadrature, exact vanishing, series sums."""
+import itertools
 import math
 import random
 import sys
@@ -23,6 +24,7 @@ from ratbase import (
     coeff_g,
     coefficient_table,
     corner_of_residues,
+    count_pattern_at,
     eval_urysohn_direct,
     eval_urysohn_series,
     locate_box,
@@ -366,6 +368,21 @@ class TestPatternEstimate:
                     * eval_urysohn_direct(ctx32, 2, 2, membership_point(ctx32, n, 2)))
             manual += term
         assert est == manual
+
+    @pytest.mark.parametrize("a, b", [(3, 2), (5, 2), (5, 3), (7, 4), (10, 1), (2, 1),
+                                      (7, 6)])
+    def test_equals_the_padded_count_at_level_k_plus_length(self, a, b):
+        # at r = k + |w| every point the window reads is a level-r box corner,
+        # so each smoothing is a digit indicator and the estimate is exact;
+        # one level lower, 126 of these cases at 3/2, 5/2, 7/4 and 2/1 differ
+        base = Base(a, b)
+        ctx = AdeleContext(base)
+        for word in itertools.chain.from_iterable(
+                itertools.product(range(a), repeat=n) for n in (1, 2)):
+            for k in range(3):
+                assert urysohn_pattern_estimate(ctx, word, k, k + len(word), 57) \
+                    == count_pattern_at(base, Pattern(base, word), k, 57,
+                                        padded=True), (word, k)
 
     def test_rejects_bad_word(self, ctx32):
         with pytest.raises(ValueError):
