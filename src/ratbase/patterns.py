@@ -24,6 +24,10 @@ costs O(log N).  The positions of a count sweep prefixes of one progression
 of q, so each leftover term is walked up the tree once, to the deepest
 position that sums it: sum_j max_(i>=j) left_i steps, not sum_k k left_k.
 The RATBASE_MAX_ENUM budget is charged the sweep length sum_k left_k, not N.
+A window opening with 0 has r_w < lo_{m-1}(1): its exact progression starts
+at r_w + a^m, the padded one without its first term.  count_pattern walks
+only the padded one and subtracts the interval of q = r_w at each position,
+one upward walk of r_w and r_w + 1; it still charges both sweeps.
 
 The stream z_1 z_2 z_3 ... concatenates the words of 1, 2, 3, ... in print
 order.  gamma_w(x) counts positions n <= x with (z_{n+|w|-1}, ..., z_n) = w,
@@ -119,25 +123,27 @@ def _lo(a: int, b: int, q, k: int):
     return q
 
 
-def _family_sums(a: int, b: int, first: int, step: int, lefts: dict[int, int],
+def _family_sums(a: int, b: int, first: int, step: int, lefts: list[int],
                  N: int) -> list[int]:
     """List by j of sum_(t < lefts[j]) |{n : T^j(n) = q_t}|, q_t = first + step*t.
 
     lo_(j+1) = lo(lo_j): q_t and q_t + 1 are walked up once, to the deepest
     D with lefts[D] > t, where q_t < T^D(N); so every value kept is at most
-    N.  Sweeps under _VECTOR_MIN terms use Python integers; longer ones use
-    numpy blocks, each walked as deep as its first term needs, of int64
-    while a*N fits and of Python integers (dtype object) beyond.
+    N.  Sweeps under _VECTOR_MIN terms use Python integers, each term walked
+    to its own depth; longer ones use numpy blocks, each walked as deep as
+    its first term needs, of int64 while a*N fits and of Python integers
+    (dtype object) beyond.
     """
-    lefts = [lefts.get(j, 0) for j in range(max(lefts) + 1)]
     width = list(itertools.accumulate(lefts[::-1], max))[::-1]  # max_(i>=j) lefts[i]
     sums = [0] * len(lefts)
     if width[0] < _VECTOR_MIN:
+        depth = len(width)
         for t in range(width[0]):
-            lo, hi = first + step * t, first + step * t + 1
-            for j, w in enumerate(width):
-                if w <= t:
-                    break
+            while width[depth - 1] <= t:
+                depth -= 1
+            lo = first + step * t
+            hi = lo + 1
+            for j in range(depth):
                 if lefts[j] > t:
                     sums[j] += hi - lo
                 lo, hi = -(-a * lo // b), -(-a * hi // b)
@@ -162,17 +168,22 @@ def _family_sums(a: int, b: int, first: int, step: int, lefts: dict[int, int],
     return sums
 
 
-def _progression_counts(base: Base, jobs: Sequence[tuple[int, int]], step: int,
-                        N: int) -> list[int]:
-    """#{1 <= n <= N : T^k(n) in first + step*Z>=0} for each job (k, first).
+def _progression_counts(base: Base, firsts: Sequence[int], step: int, N: int,
+                        k: int | None = None) -> list[list[int]]:
+    """#{1 <= n <= N : T^k(n) in f + step*Z>=0} for each first term f, at
+    position k, or by position over 0..length(N) when k is None.
 
     The q = T^k(n) below Q = T^k(N) contribute whole intervals whose sizes
     repeat with period b^k in q and sum to a^k over a period; since
     gcd(step, b) = 1, every b^k consecutive progression terms make one
     period.  Fewer than b^k leftover terms are summed directly, q = Q adds
     the part of its interval up to N, and n = 0 sits in the interval of q = 0.
-    Jobs with one first term share one walk.  The leftover sweep lengths,
-    not the walk steps, are charged to the budget before any runs.
+    A first term f that follows f - step in firsts is not walked: its
+    progression lacks only the term f - step, whose n fill
+    [lo_k(f - step), lo_k(f - step + 1)) up to N, so one upward walk of those
+    two values gives its counts at every position.  The leftover sweep
+    lengths of every first term, walked or not, are charged to the budget
+    before any walk runs.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -180,37 +191,47 @@ def _progression_counts(base: Base, jobs: Sequence[tuple[int, int]], step: int,
     orbit = [N]  # T^k(N) down to the first zero
     while orbit[-1]:
         orbit.append(b * orbit[-1] // a)
-    plans, lefts = [], {}  # lefts: per first term, left by position
-    for k, first in jobs:
-        Q = orbit[k] if k < len(orbit) else 0
-        below = -(-(Q - first) // step) if Q > first else 0
-        full, left = divmod(below, b ** k) if below else (0, 0)
-        plans.append((k, first, Q, full, left))
-        if left:
-            lefts.setdefault(first, {})[k] = left
-    _check_budget(sum(plan[-1] for plan in plans))
-    sums = {first: _family_sums(a, b, first, step, row, N)
-            for first, row in lefts.items()}
-    counts = []
-    for k, first, Q, full, left in plans:
-        c = sums[first][k] if left else 0
-        if full:
-            c += full * a ** k
-        if Q >= first and (Q - first) % step == 0:
-            c += N + 1 - (_lo(a, b, Q, k) if Q else 0)
-        counts.append(c - (first == 0))
+    # a position past length(N) counts as length(N) does: T^k(N) = 0 at both
+    ks = range(len(orbit)) if k is None else [min(k, len(orbit) - 1)]
+    counts, lefts = [], []  # by first term; lefts by position from 0
+    for f in firsts:
+        row, left = [], [0] * (ks[-1] + 1)
+        bk, ak = b ** ks[0], a ** ks[0]
+        for k in ks:
+            below, rest = divmod(orbit[k] - f, step)
+            if below < 0:  # f > T^k(N), here and at every later position
+                break
+            # below + (rest > 0) terms lie under T^k(N), itself a term if not rest
+            full, left[k] = divmod(below + (rest > 0), bk)
+            c = full * ak - (f == 0)
+            if not rest:
+                c += N + 1 - (_lo(a, b, orbit[k], k) if orbit[k] else 0)
+            row.append(c)
+            bk, ak = bk * b, ak * a
+        counts.append(row + [0] * (len(ks) - len(row)))
+        lefts.append(left)
+    _check_budget(sum(map(sum, lefts)))
+    for i, f in enumerate(firsts):
+        if f - step in firsts:
+            lo, hi = _lo(a, b, f - step, ks[0]), _lo(a, b, f - step + 1, ks[0])
+            for j, c in enumerate(counts[firsts.index(f - step)]):
+                counts[i][j] = c - (min(N + 1, hi) - lo if lo <= N else 0) + (f == step)
+                lo, hi = -(-a * lo // b), -(-a * hi // b)
+        elif any(lefts[i]):
+            sums = _family_sums(a, b, f, step, lefts[i], N)
+            counts[i] = [c + sums[k] for c, k in zip(counts[i], ks)]
     return counts
 
 
-def _window_starts(base: Base, pattern: Pattern) -> tuple[int, int]:
+def _window_starts(base: Base, w_lsf: Sequence[int]) -> tuple[int, int]:
     """First terms (exact, padded) of the q = T^k(n) progressions, step a^m.
 
     The window matches at position k exactly when q = T^k(n) is r_w mod a^m.
     Its top digit is real when T^(m-1)(q) >= 1, i.e. q >= lo_{m-1}(1) <= a^(m-1),
     so the exact count skips the term r_w when it lies below.
     """
-    m = len(pattern)
-    r = _residue(base, pattern.lsf)
+    m = len(w_lsf)
+    r = _residue(base, w_lsf)
     return (r + base.a ** m if r < _lo(base.a, base.b, 1, m - 1) else r), r
 
 
@@ -219,9 +240,9 @@ def count_pattern_at(base: Base, pattern: Pattern, k: int, N: int,
     """S_{k,w}(N), or S'_{k,w}(N) with padded=True."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    r_exact, r = _window_starts(base, pattern)
-    job = (k, r if padded else r_exact)
-    return _progression_counts(base, [job], base.a ** len(pattern), N)[0]
+    r_exact, r = _window_starts(base, pattern.lsf)
+    first = r if padded else r_exact
+    return _progression_counts(base, [first], base.a ** len(pattern), N, k)[0][0]
 
 
 def count_pattern(base: Base, pattern: Pattern, N: int) -> PatternStats:
@@ -230,28 +251,26 @@ def count_pattern(base: Base, pattern: Pattern, N: int) -> PatternStats:
     Exact positions run over 0 <= k <= length(N) - |w|; padded positions are
     reported for 0 <= k <= length(N) (count_pattern_at serves larger k).
     """
-    ell = length(base, N)
-    exact_ks = range(max(ell - len(pattern), -1) + 1)
-    r_exact, r = _window_starts(base, pattern)
-    jobs = sorted({(k, r_exact) for k in exact_ks} | {(k, r) for k in range(ell + 1)})
-    counts = dict(zip(jobs, _progression_counts(base, jobs, base.a ** len(pattern), N)))
-    per_position = {k: counts[k, r_exact] for k in exact_ks}
+    m = len(pattern)
+    r_exact, r = _window_starts(base, pattern.lsf)
+    firsts = [r] if r == r_exact else [r, r_exact]
+    counts = _progression_counts(base, firsts, base.a ** m, N)
+    padded, exact = counts[0], counts[-1]
+    per_position = dict(enumerate(exact[:max(len(padded) - m, 0)]))
     return PatternStats(
         pattern=pattern,
         N=N,
         per_position=per_position,
-        padded_per_position={k: counts[k, r] for k in range(ell + 1)},
+        padded_per_position=dict(enumerate(padded)),
         total=sum(per_position.values()),
     )
 
 
 def summatory_sod(base: Base, N: int) -> int:
     """Sum of s(n) for 1 <= n <= N; equals sum_d d * S'_{(d)}(N) over positions."""
-    digits = range(1, base.a)
-    residues = [_residue(base, (d,)) for d in digits]
-    jobs = [(k, r) for k in range(length(base, N)) for r in residues]
-    counts = _progression_counts(base, jobs, base.a, N)
-    return sum(d * c for d, c in zip(itertools.cycle(digits), counts))
+    residues = [_residue(base, (d,)) for d in range(1, base.a)]
+    counts = _progression_counts(base, residues, base.a, N)
+    return sum(d * sum(row) for d, row in enumerate(counts, 1))
 
 
 def champernowne_digits(base: Base, m: int) -> list[int]:
@@ -331,10 +350,10 @@ def _gamma(base: Base, w: tuple[int, ...], x: int) -> int:
         first, L = nxt, L + 1
     M = first - 1 + (x - P) // L  # word M + 1 has L digits
     tail = x - P - (M + 1 - first) * L  # windows starting in word M + 1
-    L_M = length(base, M)
-    r_exact, _ = _window_starts(base, Pattern(base, w))
-    jobs = [(k, r_exact) for k in range(L_M - m + 1)]
-    count = sum(_progression_counts(base, jobs, a**m, M))
+    r_exact, _ = _window_starts(base, w[::-1])  # the reversed pattern
+    counts = _progression_counts(base, [r_exact], a**m, M)[0]
+    L_M = len(counts) - 1  # length(M); past L_M - m no word holds w
+    count = sum(counts)
     for s in range(max(1, m - L), min(m - 1, L_M) + 1):
         V = _value(base, w[s:])
         if V is None:

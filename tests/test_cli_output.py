@@ -36,6 +36,20 @@ def test_out_holds_exactly_what_stdout_would(argv, tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == printed.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["patterns", *BASE32, "--w", "2", "--N", "10"],
+    ["tiles", *BASE32, "--r", "2"],
+    ["fourier", *BASE32, "--d", "1", "--r", "2", "--max-xi", "4"],
+], ids=["patterns", "tiles", "fourier"])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "f.txt"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_USAGE
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: --out: ") and printed.err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_verify_writes_nothing_when_a_later_suite_fails(capsys, monkeypatch):
     def raises_after_one_check(ctx, args):
         yield []

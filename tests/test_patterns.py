@@ -57,6 +57,12 @@ class TestPatternType:
         with pytest.raises(ValueError, match="N must be nonnegative"):
             count_pattern_at(b32, Pattern(b32, (1,)), 0, -1)
 
+    def test_counts_refuse_negative_n(self, b32):
+        with pytest.raises(ValueError, match="N must be nonnegative"):
+            count_pattern(b32, Pattern(b32, (1,)), -1)
+        with pytest.raises(ValueError, match="N must be nonnegative"):
+            summatory_sod(b32, -1)
+
 
 class TestFrozenCounts:
     def test_single_digit_at_position_zero(self, b32):
@@ -285,12 +291,62 @@ class TestResidueClassOracle:
                             residue_class_count(base, w, k, N), (w, k, N)
 
     def test_summatory_sod_slice(self, base):
-        # summatory_sod's jobs at the positions the oracle reaches, in one call
+        # summatory_sod's progressions, one per digit, at the positions the
+        # oracle reaches, one position a call
         jobs = [(k, w[0]) for w, k in _oracle_windows(base) if len(w) == 1 and w[0]]
+        residues = [_residue(base, (d,)) for d in range(1, base.a)]
         for N in RESIDUE_NS:
-            got = _progression_counts(base, [(k, _residue(base, (d,))) for k, d in jobs],
-                                      base.a, N)
+            rows = {k: _progression_counts(base, residues, base.a, N, k) for k, _ in jobs}
+            got = [rows[k][d - 1][0] for k, d in jobs]
             assert got == [residue_class_count(base, (d,), k, N) for k, d in jobs], N
+
+
+def _leading_zero_words(base):
+    return [(0,), (0, 0), (0, 1), (0, 0, 1), (0, base.a - 1)]
+
+
+def _exact_scan(base, w, N):
+    """S_{k,w}(N) at every position, from one read of each word 1..N."""
+    m, counts = len(w), {}
+    for n in range(1, N + 1):
+        digits = word_digits(base, n)
+        for k in range(len(digits) - m + 1):
+            if digits[len(digits) - k - m:len(digits) - k] == w:
+                counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+class TestExactCountsBySubtraction:
+    """count_pattern walks only the padded progression and takes the exact
+    counts of a window opening with 0 by subtracting the n with T^k(n) = r_w;
+    count_pattern_at(padded=False) still walks the exact progression."""
+
+    @pytest.mark.parametrize("base", ORACLE_BASES, ids=str)
+    def test_against_the_exact_walk_and_a_scan(self, base):
+        for w in _leading_zero_words(base):
+            pattern = Pattern(base, w)
+            for N in (0, 1, 2, 57, 3000):
+                stats = count_pattern(base, pattern, N)
+                scan = _exact_scan(base, w, N)
+                assert set(scan) <= set(stats.per_position), (w, N)
+                for k, c in stats.per_position.items():
+                    assert c == count_pattern_at(base, pattern, k, N) == scan.get(k, 0), \
+                        (w, N, k)
+                # past the exact positions too, where T^k(N) may be r_w
+                step, r = base.a ** len(w), _residue(base, pattern.lsf)
+                assert _progression_counts(base, [r, r + step], step, N)[1] == \
+                    _progression_counts(base, [r + step], step, N)[0], (w, N)
+
+    @pytest.mark.parametrize("a,b,N", [(3, 2, 10**7), (3, 2, 10**9), (7, 4, 10**7),
+                                       (7, 4, 10**9), (10, 1, 10**30)])
+    def test_against_the_exact_walk_on_numpy_blocks(self, a, b, N):
+        base = Base(a, b)
+        for w in _leading_zero_words(base):
+            pattern = Pattern(base, w)
+            stats = count_pattern(base, pattern, N)
+            assert len(stats.per_position) == length(base, N) - len(w) + 1
+            for k, c in stats.per_position.items():
+                assert c == count_pattern_at(base, pattern, k, N), (w, k)
 
 
 class TestDigitExtension:
@@ -344,6 +400,15 @@ class TestBudgetCharges:
 
     def test_single_digit_count_fits_the_default_cap(self, b32):
         assert count_pattern(b32, Pattern(b32, (1,)), 10**9).total == 16063676278
+
+    def test_leading_zero_count_charges_the_exact_sweep(self, b32):
+        # frozen from the engine that walked the exact progression too; the
+        # padded sweep alone (5284514) would fit the cap at 10^11
+        pattern = Pattern(b32, (0, 2))
+        with pytest.raises(ScaleExceeded) as err:
+            count_pattern(b32, pattern, 10**11)
+        assert str(err.value) == "enumeration of 10568970 objects exceeds cap 10000000"
+        assert count_pattern(b32, pattern, 3 * 10**10).total == 177077008445  # charged 7580941
 
 
 class TestCountingIdentities:
