@@ -16,9 +16,11 @@ tile corners, boundary tubes and fiber intervals work on such numerators
 over a^r and b-powers and build one Fraction per returned value.  One
 integer core, _box, locates every point from what _coordinates reads (a
 scalar's numerator and denominator directly, an AdelePoint's coordinates
-place by place), and serves locate_box, the cross-multiplied containment check of cover_census,
-the digit reads and the smoothed tile values in fourier; the character
-reads its points through _coordinates too.  Every entry point that takes
+place by place) as a scaled corner y / q, and serves locate_box, the
+cross-multiplied containment check of cover_census, the digit reads and
+the smoothed tile values in fourier; the class u = y q^(-1) mod a^r is
+taken only where residues are peeled off it.  The character reads its
+points through _coordinates too.  Every entry point that takes
 a level checks it, and takes a^r and b^r, in _level.
 
 Level-r boxes are translates of D_r = alpha^(-r) D_0: a box with corner c in
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -230,8 +233,7 @@ def reduce_mod_lattice(ctx: AdeleContext, z) -> tuple[Fraction, AdelePoint]:
     z_oo - y in [0,1) and z_p - y p-integral for each p | b.
     """
     x, xs = coords = _coordinates(ctx, z)
-    y, q, _ = _box(ctx, coords, 0, 1, 1)
-    y = Fraction(y, q)
+    y = Fraction(*_box(ctx, coords, 0, 1, 1))
     res = AdelePoint(
         real=x - y,
         padic={p: xp - y for (p, _), xp in zip(ctx.primes, xs)},
@@ -243,20 +245,26 @@ def reduce_mod_lattice(ctx: AdeleContext, z) -> tuple[Fraction, AdelePoint]:
 # level-r boxes and their canonical residues
 
 
-def _peel(a: int, b: int, u: int, r: int) -> tuple[int, ...]:
-    """Residues (e_1, ..., e_r) of the level-r class u mod a^r.
+def _peel(a: int, b: int, u: int, r: int, br: int) -> tuple[tuple[int, ...], int]:
+    """Residues (e_1, ..., e_r) of the level-r class u mod a^r, and the
+    numerator c = b H(e_1..e_r) = sum_k e_k b^k a^(r-k) of their corner
+    c / a^r; br = b^r.
 
     u = sum_k e_k a^(r-k) b^(k-r) mod a^r, so e_r = u mod a and
     b * floor(u / a) is the class of e_1 .. e_(r-1) one level down.  Each
-    step reads only u mod a, so the reductions mod a^j can be skipped.
+    step reads only u mod a, so the reductions mod a^j can be skipped.  The
+    weight b^k a^(r-k) of e_k is kept as a running product from b^r down.
     """
     digs = []
+    c, w = 0, br
     for _ in range(r):
-        u, e = divmod(u, a)
+        e = u % a
         digs.append(e)
-        u *= b
+        c += e * w
+        u = u // a * b
+        w = w // b * a
     digs.reverse()
-    return tuple(digs)
+    return tuple(digs), c
 
 
 def _corner_numerators(a: int, b: int, r: int, d: int) -> list[int]:
@@ -281,14 +289,33 @@ def corner_of_residues(ctx: AdeleContext, residues: Sequence[int]) -> Fraction:
                     ctx.base.a ** len(residues))
 
 
-@dataclass(frozen=True)
-class BoxLocation:
-    """Result of point location: actual corner, canonical residues, translate."""
+class _Strict(tuple):
+    """A tuple equal only to a tuple of its own type, with a hash that agrees."""
 
-    level: int
-    corner: Fraction
-    residues: tuple[int, ...]
-    translate: Fraction
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+# a dataclass only in name, so that dataclasses.replace, fields and asdict
+# still serve it: the tuple keeps its own constructor, repr and equality
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class BoxLocation(_Strict, namedtuple("_Fields", "level corner residues translate")):
+    """Result of point location: the level, actual corner, canonical residues
+    and translate, an immutable 4-tuple equal only to another BoxLocation."""
+
+    __slots__ = ()
+    # field() gives each a MISSING default, not the tuple's getter
+    level: int = field()
+    corner: Fraction = field()
+    residues: tuple[int, ...] = field()
+    translate: Fraction = field()
 
     @property
     def digit(self) -> int:
@@ -319,8 +346,8 @@ def _coordinates(ctx: AdeleContext, z) -> tuple:
     return z.real, tuple(padic[p] for p, _ in ctx.primes)
 
 
-def _box(ctx: AdeleContext, coords: tuple, r: int, ar: int, br: int) -> tuple[int, int, int]:
-    """(y, q, u) for the level-r box holding the point read as `coords` by
+def _box(ctx: AdeleContext, coords: tuple, r: int, ar: int, br: int) -> tuple[int, int]:
+    """(y, q) for the level-r box holding the point read as `coords` by
     _coordinates, under the half-open convention; ar, br = a^r, b^r.
 
     The box's corner is y b^r / (q a^r), for a b-power q, and u = y q^(-1)
@@ -341,8 +368,7 @@ def _box(ctx: AdeleContext, coords: tuple, r: int, ar: int, br: int) -> tuple[in
         tp = x_p.numerator * ar * pow(den * (br // pe), -1, pm) % pm
         t, q = t * pm + tp * q, q * pm
     yd = x.denominator * br
-    y = t + (x.numerator * ar * q - t * yd) // (yd * q) * q
-    return y, q, y * pow(q, -1, ar) % ar
+    return t + (x.numerator * ar * q - t * yd) // (yd * q) * q, q
 
 
 def locate_box(ctx: AdeleContext, z, r: int) -> BoxLocation:
@@ -353,12 +379,11 @@ def locate_box(ctx: AdeleContext, z, r: int) -> BoxLocation:
     the box on their right.
     """
     ar, br = _level(ctx, r)
-    y, q, u = _box(ctx, _coordinates(ctx, z), r, ar, br)
-    a, b = ctx.base.a, ctx.base.b
-    residues = _peel(a, b, u, r)
-    c = b * _horner(a, b, residues)
-    return BoxLocation(level=r, corner=Fraction(y * br, q * ar), residues=residues,
-                       translate=Fraction((y * br - c * q) // ar, q))
+    y, q = _box(ctx, _coordinates(ctx, z), r, ar, br)
+    residues, c = _peel(ctx.base.a, ctx.base.b, y * pow(q, -1, ar) % ar, r, br)
+    yb = y * br
+    return tuple.__new__(BoxLocation, (r, Fraction(yb, q * ar), residues,
+                                       Fraction((yb - c * q) // ar, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +439,9 @@ def _membership_box(ctx: AdeleContext, n: int, k: int, r: int,
     holding membership_point(ctx, n, k)."""
     x = membership_point(ctx, n, k)
     ar, br = _level(ctx, r, least)
-    a, b = ctx.base.a, ctx.base.b
-    residues = _peel(a, b, _box(ctx, _coordinates(ctx, x), r, ar, br)[2], r)
-    return residues, Fraction(b * _horner(a, b, residues), ar)
+    y, q = _box(ctx, _coordinates(ctx, x), r, ar, br)
+    residues, c = _peel(ctx.base.a, ctx.base.b, y * pow(q, -1, ar) % ar, r, br)
+    return residues, Fraction(c, ar)
 
 
 def classify_digit(ctx: AdeleContext, n: int, k: int, r: int,
@@ -576,16 +601,18 @@ def _fiber_numerator(ctx: AdeleContext, x: Fraction, depth: int,
     """
     a, b = ctx.base.a, ctx.base.b
     alpha = scheme == "alpha-digits"
-    U, V, K = x.numerator, x.denominator, 0
+    U, den = x.numerator, x.denominator
+    V, K = den, 0
     for p, e in ctx.primes:
         v = 0
         while V % p == 0:
             V //= p
             v += 1
         K = max(K, -(-v // e))
-    U = U * b**K // (x.denominator // V)
-    if alpha:
-        V *= a**K
+    if K:  # a pole; never at a box corner
+        U = U * b**K // (den // V)
+        if alpha:
+            V *= a**K
     mul = a if alpha else 1
     vinv = pow(V, -1, b)
     num = 0
@@ -631,7 +658,8 @@ def fiber_interval(ctx: AdeleContext, c: Fraction, r: int,
         c = Fraction(c)
     num, _ = _fiber_numerator(ctx, c, r - 1, scheme)
     step = ctx.base.b if scheme == "alpha-digits" else 1
-    return Fraction(num * step, br), Fraction((num + 1) * step, br)
+    lo = num * step
+    return Fraction(lo, br), Fraction(lo + step, br)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +679,7 @@ def cover_census(ctx: AdeleContext, z, r: int) -> tuple[int, bool]:
     """
     x, xs = coords = _coordinates(ctx, z)
     ar, br = _level(ctx, r)
-    y, q, _ = _box(ctx, coords, r, ar, br)
+    y, q = _box(ctx, coords, r, ar, br)
     C, Q = y * br, q * ar
     D = x.denominator
     off = x.numerator * Q - C * D

@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .adelic import (AdeleContext, _box, _check_budget, _coordinates, _first_residue,
-                     _level, _split_b, max_enum)
+                     _level, _split_b, _Strict, max_enum)
 from .numeration import _check_digits
 
 # the constant factors of the angles, each computed as the expressions that
@@ -60,20 +60,6 @@ _TWO_PI = 2.0 * math.pi
 _TWO_PI_J = 2j * math.pi
 _NEG_TWO_PI_J = -2j * math.pi
 _PI_SQUARED = math.pi**2
-
-
-class _Strict(tuple):
-    """A tuple equal only to a tuple of its own type, with a hash that agrees."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
 
 
 class FourierCoefficient(_Strict, namedtuple("_Fields", "frequency value exact")):
@@ -288,7 +274,8 @@ def eval_urysohn_direct(ctx: AdeleContext, d: int, r: int, z) -> Fraction:
 def _direct(ctx: AdeleContext, d: int, r: int, ar: int, br: int, z: Fraction) -> Fraction:
     """eval_urysohn_direct at a checked digit d and level r; ar, br = a^r, b^r."""
     a, b = ctx.base.a, ctx.base.b
-    y, q, u = _box(ctx, _coordinates(ctx, z), r, ar, br)
+    y, q = _box(ctx, _coordinates(ctx, z), r, ar, br)
+    u = y * pow(q, -1, ar) % ar
     # x = y h / q, so theta = z / h - y / q = t / s; the right neighbour
     # x + h has the scaled corner (y + q) / q and the class u + 1
     s = z.denominator * br * q

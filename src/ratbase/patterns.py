@@ -169,7 +169,7 @@ def _family_sums(a: int, b: int, first: int, step: int, lefts: list[int],
 
 
 def _progression_counts(base: Base, firsts: Sequence[int], step: int, N: int,
-                        k: int | None = None) -> list[list[int]]:
+                        k: int | None = None, extra: int = 0) -> list[list[int]]:
     """#{1 <= n <= N : T^k(n) in f + step*Z>=0} for each first term f, at
     position k, or by position over 0..length(N) when k is None.
 
@@ -183,7 +183,7 @@ def _progression_counts(base: Base, firsts: Sequence[int], step: int, N: int,
     [lo_k(f - step), lo_k(f - step + 1)) up to N, so one upward walk of those
     two values gives its counts at every position.  The leftover sweep
     lengths of every first term, walked or not, are charged to the budget
-    before any walk runs.
+    before any walk runs, in one check with the caller's `extra` work.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -210,7 +210,7 @@ def _progression_counts(base: Base, firsts: Sequence[int], step: int, N: int,
             bk, ak = bk * b, ak * a
         counts.append(row + [0] * (len(ks) - len(row)))
         lefts.append(left)
-    _check_budget(sum(map(sum, lefts)))
+    _check_budget(sum(map(sum, lefts)) + extra)
     for i, f in enumerate(firsts):
         if f - step in firsts:
             lo, hi = _lo(a, b, f - step, ks[0]), _lo(a, b, f - step + 1, ks[0])
@@ -350,10 +350,17 @@ def _gamma(base: Base, w: tuple[int, ...], x: int) -> int:
         first, L = nxt, L + 1
     M = first - 1 + (x - P) // L  # word M + 1 has L digits
     tail = x - P - (M + 1 - first) * L  # windows starting in word M + 1
+    L_M = L - (M < first)  # length(M); past L_M - m no word holds w
+    reads = []
+    for s in range(1, min(m - 2, L_M) + 1):
+        for ell in range(1, min(m - 1 - s, L) + 1):
+            V = _value(base, w[s:s + ell])
+            if V is not None and 2 <= V <= M + 1:
+                reads.append((V - 1, s))
     r_exact, _ = _window_starts(base, w[::-1])  # the reversed pattern
-    counts = _progression_counts(base, [r_exact], a**m, M)[0]
-    L_M = len(counts) - 1  # length(M); past L_M - m no word holds w
-    count = sum(counts)
+    # the direct reads and the tail are charged with the sweep, in one check
+    read = m * len(reads) + (tail + m - 1 if tail else 0)
+    count = sum(_progression_counts(base, [r_exact], a**m, M, extra=read)[0])
     for s in range(max(1, m - L), min(m - 1, L_M) + 1):
         V = _value(base, w[s:])
         if V is None:
@@ -366,13 +373,6 @@ def _gamma(base: Base, w: tuple[int, ...], x: int) -> int:
             if top >= bottom:
                 count += (top - rho) // mod - (bottom - 1 - rho) // mod
             lo, hi = -(-a * lo // b), -(-a * hi // b)
-    reads = []
-    for s in range(1, min(m - 2, L_M) + 1):
-        for ell in range(1, min(m - 1 - s, L) + 1):
-            V = _value(base, w[s:s + ell])
-            if V is not None and 2 <= V <= M + 1:
-                reads.append((V - 1, s))
-    _check_budget(m * len(reads) + (tail + m - 1 if tail else 0))
     for n, s in reads:
         skip = length(base, n) - s
         if skip >= 0 and _read(base, n, skip, m) == w:

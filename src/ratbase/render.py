@@ -49,10 +49,11 @@ def render_tiles(ctx: AdeleContext, r: int, translates: Iterable,
     ar, br = _level(ctx, r, charged=r)
     _check_budget(max(len(shifts), 1) * ar)
     width = Fraction(br, ar)
+    corners = [tile_corners(ctx, d, r) for d in range(ctx.base.a)] if shifts else []
     rects = []
     for t in shifts:
-        for d in range(ctx.base.a):
-            for c in tile_corners(ctx, d, r):
+        for d, ds in enumerate(corners):
+            for c in ds:
                 cc = c + t
                 lo, hi = fiber_interval(ctx, cc, r, scheme)
                 rects.append(TileRect(t, d, cc, cc + width, lo, hi))

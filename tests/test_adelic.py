@@ -1,4 +1,5 @@
 """Adelic machinery: fractional parts, characters, reduction, tiles, tubes."""
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,8 @@ from ratbase import (
     Base,
     BoundaryAmbiguous,
     BoundaryTube,
+    BoxLocation,
+    FourierCoefficient,
     NotIntegral,
     ScaleExceeded,
     boundary_tubes,
@@ -44,6 +47,7 @@ from helpers import (
     cover_census_ref,
     denominator_in_b,
     fiber_interval_ref,
+    fiber_value_ref,
     frac_p_bruteforce,
     locate_box_ref,
     random_rational,
@@ -306,6 +310,62 @@ class TestLocateAndMembership:
                 count, flagged = cover_census(ctx32, z, 4)
                 assert count == 1 or flagged
         assert generic > 1000
+
+
+class TestBoxLocationType:
+    """BoxLocation: named fields of an immutable 4-tuple that equals only
+    another BoxLocation."""
+
+    def test_fields_and_construction(self, ctx32):
+        loc = locate_box(ctx32, Fraction(7, 3), 2)
+        level, corner, residues, translate = loc
+        assert (loc.level, loc.corner, loc.residues, loc.translate) == (
+            level, corner, residues, translate) == (2, Fraction(7, 3), (2, 0), 1)
+        assert BoxLocation(level=2, corner=corner, residues=residues,
+                           translate=translate) == loc == BoxLocation(*loc)
+
+    def test_fields_cannot_be_assigned(self, ctx32):
+        loc = locate_box(ctx32, Fraction(7, 3), 2)
+        for name in ("level", "corner", "residues", "translate", "digit", "other"):
+            with pytest.raises(AttributeError):
+                setattr(loc, name, 0)
+
+    def test_equal_only_its_own_type(self, ctx32):
+        loc = locate_box(ctx32, Fraction(7, 3), 2)
+        assert loc != tuple(loc) and tuple(loc) != loc
+        assert not loc == tuple(loc)
+        twin = BoxLocation(*loc)
+        assert loc == twin and not loc != twin
+        assert hash(loc) == hash(twin)
+        assert len({loc, twin, tuple(loc)}) == 2
+        assert BoxLocation(1, 2, 3, 4) != FourierCoefficient(1, 2, 3) + (4,)
+
+    def test_frozen_repr(self, ctx32, ctx76):
+        # the bytes the dataclass printed
+        assert repr(locate_box(ctx32, Fraction(-101, 12), 5)) == (
+            "BoxLocation(level=5, corner=Fraction(-101, 12), residues=(2, 0, 0, 0, 0), "
+            "translate=Fraction(-39, 4))")
+        z = AdelePoint(Fraction(-5, 9), {2: Fraction(3, 4), 3: Fraction(1, 7)})
+        assert repr(locate_box(ctx76, z, 3)) == (
+            "BoxLocation(level=3, corner=Fraction(-1019, 1372), residues=(6, 1, 1), "
+            "translate=Fraction(-29, 4))")
+
+    def test_digit_and_canonical_corner(self, ctx32, ctx76):
+        for ctx, z, r in ((ctx32, Fraction(-101, 12), 5), (ctx76, Fraction(41, 18), 4)):
+            loc = locate_box(ctx, z, r)
+            assert loc.digit == loc.residues[0]
+            assert loc.canonical_corner == loc.corner - loc.translate == corner_of_residues(
+                ctx, loc.residues)
+
+    def test_dataclass_interface(self, ctx32):
+        loc = locate_box(ctx32, Fraction(7, 3), 2)
+        assert dataclasses.is_dataclass(loc)
+        assert [(f.name, f.default, f.default_factory) for f in dataclasses.fields(loc)] == [
+            (name, dataclasses.MISSING, dataclasses.MISSING) for name in loc._fields]
+        assert dataclasses.asdict(loc) == loc._asdict()
+        moved = dataclasses.replace(loc, corner=loc.corner + 1, translate=loc.translate + 1)
+        assert type(moved) is BoxLocation and moved == (
+            BoxLocation(2, Fraction(10, 3), (2, 0), Fraction(2)))
 
 
 class TestClassification:
@@ -587,6 +647,26 @@ class TestIntegerGeometryOracles:
             for scheme in ("alpha-digits", "p-adic-digits"):
                 assert repr(fiber_interval(ctx, x, r, scheme)) == repr(
                     fiber_interval_ref(ctx, x, r, scheme))
+
+    def test_fiber_poles_one_prime_at_a_time(self, base):
+        # a pole at only one p | b sets the rescaling K from that prime
+        # alone; canonical box corners have no pole, and K = 0
+        ctx = AdeleContext(base)
+        rng = random.Random(f"fiber poles {base}")
+        dens = [p**j * rest for p, _ in ctx.primes for j in (1, 2, 3, 7)
+                for rest in (1, 7, base.a**2)] or [1, 7]
+        for i in range(300):
+            r = i % 9
+            x = Fraction(rng.randint(-10**6, 10**6), rng.choice(dens))
+            loc = locate_box(ctx, x, r)
+            c = loc.canonical_corner
+            for scheme in ("alpha-digits", "p-adic-digits"):
+                for y in (x, loc.corner, c):
+                    assert repr(fiber_interval(ctx, y, r, scheme)) == repr(
+                        fiber_interval_ref(ctx, y, r, scheme))
+                depth = rng.randint(0, 20)
+                assert fiber_coordinate(ctx, c, depth, scheme) == fiber_value_ref(
+                    ctx, c, depth, scheme)
 
     def test_tile_corners(self, base):
         ctx = AdeleContext(base)

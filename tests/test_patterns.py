@@ -410,6 +410,16 @@ class TestBudgetCharges:
         assert str(err.value) == "enumeration of 10568970 objects exceeds cap 10000000"
         assert count_pattern(b32, pattern, 3 * 10**10).total == 177077008445  # charged 7580941
 
+    def test_stream_count_charges_sweep_and_reads_together(self, b32, monkeypatch):
+        # the sweep (34) and the direct reads (26) each fit a cap of 59
+        pattern = Pattern.parse(b32, "212012")
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "59")
+        with pytest.raises(ScaleExceeded) as err:
+            champernowne_freq(b32, pattern, 10**6)
+        assert str(err.value) == "enumeration of 60 objects exceeds cap 59"
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "60")
+        assert champernowne_freq(b32, pattern, 10**6) == 1868
+
 
 class TestCountingIdentities:
     def test_padded_single_digits_tile_every_position(self, b32):
