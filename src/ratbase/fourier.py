@@ -38,8 +38,8 @@ it is computed or read, so every value is bit-identical either way.
 
 A series at a point whose character has denominator Q <= its nonzero terms
 sums them by residue rho = m mod Q, whose terms share one root of unity:
-the coefficients of each residue are summed once per (coefficient list, Q)
-and kept, so a call that finds them held costs O(Q), not O(cutoff).
+the coefficients of each residue are summed once per coefficient list and
+Q and kept with the list, so a call that finds them held costs O(Q).
 """
 
 from __future__ import annotations
@@ -161,25 +161,29 @@ _TABLE_TOP = 1 << 12
 _prefixes: dict[tuple[int, int, int, int], complex] = {}
 
 
+def _top_level(a: int) -> int:
+    """K, the deepest tabled level: the largest with a^K <= _TABLE_TOP, or 1."""
+    k, ak = 1, a
+    while ak * a <= _TABLE_TOP:
+        k, ak = k + 1, ak * a
+    return k
+
+
 def _fill_charge(a: int, r: int, rows: int) -> int:
     """rows * (1 + L), the budget charge of rows level-r coefficients: L
     counts the levels k in 2..r with a^k above _TABLE_TOP, whose sums each
     mode computes anew (a exponentials each), where the tabled levels are
     one lookup."""
-    k, ak = 2, a * a
-    while ak <= _TABLE_TOP:
-        k, ak = k + 1, ak * a
-    return rows * (1 + max(0, r - k + 1))
+    return rows * (1 + max(0, r - _top_level(a)))
 
 
-def _level_factor(a: int, b: int, ar: int, br: int, w: int,
-                  own: dict | None = None, top: int = 0) -> complex:
+def _level_factor(a: int, b: int, ar: int, br: int, w: int) -> complex:
     """prod_{k=2..r} _level_sum(a, a^k, c_k), c_k = w b^k mod a^k, from
     complex(1.0) in the order of k; ar, br = a^r, b^r and 0 <= w < a^r.
 
     Where a^r <= _TABLE_TOP the product is one _prefixes entry, filled from
-    the entry a level below.  Above it the tabled levels are one entry, and
-    the sum of each level with a^k < top is kept in the caller's `own`.
+    the entry a level below.  Above it the tabled levels are one entry and
+    each level above them is summed anew.
     """
     if ar == a:
         return complex(1.0)
@@ -189,43 +193,28 @@ def _level_factor(a: int, b: int, ar: int, br: int, w: int,
             below = _level_factor(a, b, ar // a, br // b, w % (ar // a))
             p = _prefixes[a, b, ar, w] = below * _level_sum(a, ar, w * br % ar)
         return p
-    ak, bk = a, b
-    while ak * a <= _TABLE_TOP:
-        ak, bk = ak * a, bk * b
+    k = _top_level(a)
+    ak, bk = a**k, b**k
     factor = _level_factor(a, b, ak, bk, w % ak)
     while ak < ar:
         ak, bk = ak * a, bk * b
-        c = w * bk % ak
-        if ak < top:
-            s = own.get((ak, c))
-            if s is None:
-                s = own[ak, c] = _level_sum(a, ak, c)
-        else:
-            s = _level_sum(a, ak, c)
-        factor *= s
+        factor *= _level_sum(a, ak, w * bk % ak)
     return factor
 
 
 def _f_values(ctx: AdeleContext, digits: Sequence[int], r: int, ms: range):
-    """(m, the tuple of c'_{d,r,m/b^r} over digits) for each m in ms, a
-    range of consecutive integers >= 0; callers check the level and the
-    digits.
-
-    w = -m b^(-r) mod a^r and the level factor depend on m only, so each is
-    computed once per m for all digits.  Over len(ms) consecutive modes the
-    residues c_k mod a^k repeat only where a^k < len(ms), so the call keeps
-    the level sums of those levels above _TABLE_TOP: fewer than 2 len(ms).
-    """
+    """(m, the tuple of c'_{d,r,m/b^r} over digits) for each m >= 0 in ms,
+    with w = -m b^(-r) mod a^r and the level factor computed once per m for
+    all digits; callers check the level and the digits."""
     a, b = ctx.base.a, ctx.base.b
     ar, br = _level(ctx, r)
     b_inv = pow(b, -r, ar)
-    own: dict[tuple[int, int], complex] = {}
     for m in ms:
         if r == 0 or m % a == 0:
             yield m, (complex(1 / a) if m == 0 else 0j,) * len(digits)
             continue
         w = -m * b_inv % ar  # t_k = (w b^k mod a^k) / a^k
-        factor = _level_factor(a, b, ar, br, w, own, len(ms))
+        factor = _level_factor(a, b, ar, br, w)
         yield m, tuple(_closed_form(m, ar, -d * w * b % a, a, factor) for d in digits)
 
 
@@ -317,31 +306,28 @@ def series_tail_bound(ctx: AdeleContext, r: int, cutoff: int) -> float:
 _CacheInfo = namedtuple("_CacheInfo", "hits misses lists pairs")
 
 
-def _trim(table: dict, held: int, cap: int) -> int:
-    """held, the items in table, after dropping its oldest entries down to 64
-    holding at most cap items."""
-    while len(table) > 64 or held > cap:
-        held -= len(table.pop(next(iter(table))))
-    return held
-
-
 class _SeriesCache:
-    """Coefficient lists of recent series calls, the roots of unity of recent
-    denominators Q and the folds of recent (list, Q), oldest first: at most
-    64 of each, holding at most max_enum() pairs, roots and fold terms, each
-    counted apart.  Every store trims all three against the cap it reads."""
+    """Coefficient lists of recent series calls, oldest first, each with its
+    folds by Q: at most 64 lists, holding at most max_enum() items in all,
+    an item being a pair, a fold term or a root of unity."""
 
     def __init__(self) -> None:
-        self.lists: dict[tuple, tuple[tuple[int, complex], ...]] = {}
-        self.units: dict[int, list[complex]] = {}
-        self.folds: dict[tuple, tuple[tuple[int, complex], ...]] = {}
-        self.hits = self.misses = self.pairs = self.roots = self.folded = 0
+        self.lists: dict[tuple, tuple[tuple[tuple[int, complex], ...], dict]] = {}
+        self.hits = self.misses = self.items = 0
 
-    def _evict(self) -> None:
+    def _keep(self, key: tuple, n: int) -> bool:
+        """Drop the oldest lists other than key's until n more items fit
+        under the cap among at most 64 lists; count the n items and return
+        True if they fit, else return False."""
         cap = max_enum()
-        self.pairs = _trim(self.lists, self.pairs, cap)
-        self.roots = _trim(self.units, self.roots, cap)
-        self.folded = _trim(self.folds, self.folded, cap)
+        for old in [k for k in self.lists if k != key]:
+            if len(self.lists) <= 64 and self.items + n <= cap:
+                break
+            pairs, folds = self.lists.pop(old)
+            self.items -= len(pairs) + sum(len(t) + len(u) for t, u in folds.values())
+        fits = self.items + n <= cap
+        self.items += n if fits else 0
+        return fits
 
     def __call__(self, ctx: AdeleContext, d: int, r: int,
                  cutoff: int) -> tuple[tuple[int, complex], ...]:
@@ -354,44 +340,37 @@ class _SeriesCache:
         got = self.lists.get(key)
         if got is not None:
             self.hits += 1
-            return got
+            return got[0]
         _check_budget(_fill_charge(ctx.base.a, r, cutoff))
         self.misses += 1
         values = _f_values(ctx, (d,), r, range(1, cutoff + 1))
-        got = self.lists[key] = tuple((m, c) for m, (c,) in values if c != 0)
-        self.pairs += len(got)
-        self._evict()
-        return got
+        pairs = tuple((m, c) for m, (c,) in values if c != 0)
+        self.lists[key] = (pairs, {})
+        self._keep(key, len(pairs))  # they fit: the charge covers them
+        return pairs
 
-    def roots_of_unity(self, Q: int) -> list[complex]:
-        """e(j / Q) for j = 0..Q-1, each as complex(cos, sin) of 2 pi j / Q."""
-        got = self.units.get(Q)
+    def fold(self, key: tuple, Q: int) -> tuple:
+        """(the nonzero (rho, C_rho), the roots e(j / Q) for j = 0..Q-1) of
+        the held list at key: C_rho is the sum in order of m of its c with
+        m = rho mod Q, and each root is complex(cos, sin) of 2 pi j / Q.
+        A fold that does not fit beside its list is returned unkept."""
+        pairs, folds = self.lists[key]
+        got = folds.get(Q)
         if got is None:
-            got = self.units[Q] = [complex(math.cos(ang), math.sin(ang))
-                                   for ang in (_TWO_PI * j / Q for j in range(Q))]
-            self.roots += Q
-            self._evict()
-        return got
-
-    def fold(self, key: tuple, pairs: tuple[tuple[int, complex], ...]
-             ) -> tuple[tuple[int, complex], ...]:
-        """The nonzero (rho, C_rho), C_rho the sum in order of m of the c of
-        pairs with m = rho mod Q.  key is the list's own key and then Q, so
-        a fold stays right after its list is evicted."""
-        got = self.folds.get(key)
-        if got is None:
-            Q = key[-1]
             sums: dict[int, complex] = {}
             for m, c in pairs:
                 rho = m % Q
                 sums[rho] = sums.get(rho, 0j) + c
-            got = self.folds[key] = tuple((rho, c) for rho, c in sums.items() if c != 0)
-            self.folded += len(got)
-            self._evict()
+            terms = tuple((rho, c) for rho, c in sums.items() if c != 0)
+            got = terms, [complex(math.cos(ang), math.sin(ang))
+                          for ang in (_TWO_PI * j / Q for j in range(Q))]
+            if self._keep(key, len(terms) + Q):
+                folds[Q] = got
         return got
 
     def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, len(self.lists), self.pairs)
+        pairs = sum(len(entry[0]) for entry in self.lists.values())
+        return _CacheInfo(self.hits, self.misses, len(self.lists), pairs)
 
 
 _series_coeffs = _SeriesCache()
@@ -424,8 +403,8 @@ def eval_urysohn_series(ctx: AdeleContext, d: int, r: int, z,
     P = P * pow(b, -r, Q) % Q
     total = 1.0 / a
     if Q <= len(pairs):
-        units = _series_coeffs.roots_of_unity(Q)
-        for rho, c in _series_coeffs.fold((a, b, d, r, cutoff, Q), pairs):
+        terms, units = _series_coeffs.fold((a, b, d, r, cutoff), Q)
+        for rho, c in terms:
             total += 2.0 * (c * units[rho * P % Q]).real
     else:
         for m, c in pairs:

@@ -9,6 +9,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant, precondition, rule,
+                                 run_state_machine_as_test)
 
 from ratbase import (
     AdeleContext,
@@ -470,58 +473,65 @@ class TestBudget:
         assert _series_coeffs.cache_info().misses == misses + 1
 
     def test_roots_served_cold_and_warm_agree(self, ctx32, monkeypatch):
-        # Q = 1..5 at 3/2 r = 3 cutoff 50: at most the 34 nonzero terms
+        # Q = 1..25 at 3/2 r = 3 cutoff 50: at most the 34 nonzero terms
         for den in (1, 3, 5, 9, 15, 25):
             for num in (1, 2, 7):
                 cache = _SeriesCache()
                 monkeypatch.setattr(fourier, "_series_coeffs", cache)
                 z = Fraction(num, den)
                 cold = eval_urysohn_series(ctx32, 1, 3, z, 50)
-                assert list(cache.units) == [den]
-                assert list(cache.folds) == [(3, 2, 1, 3, 50, den)]
+                [(key, (pairs, folds))] = cache.lists.items()
+                assert key == (3, 2, 1, 3, 50) and list(folds) == [den]
+                terms, roots = folds[den]
+                assert len(roots) == den and len(terms) <= den
+                assert cache.items == len(pairs) + len(terms) + den
                 assert repr(eval_urysohn_series(ctx32, 1, 3, z, 50)) == repr(cold)
-                assert cache.roots == den and cache.cache_info().hits == 1
-                assert cache.folded == len(cache.folds[3, 2, 1, 3, 50, den]) <= den
+                assert cache.cache_info().hits == 1 and folds[den] == (terms, roots)
 
     def test_root_tables_stay_within_their_bounds(self, ctx32, monkeypatch):
         # the 3/2 r = 1 list of cutoff 400 keeps 267 pairs, so every odd
-        # Q < 267 is served from a root table
+        # Q < 267 is served from a fold with its Q roots
         cache = _SeriesCache()
         monkeypatch.setattr(fourier, "_series_coeffs", cache)
         for Q in range(1, 200, 2):
             eval_urysohn_series(ctx32, 1, 1, Fraction(1, Q), 400)
-            assert len(cache.units) <= 64 and len(cache.folds) <= 64
-        assert list(cache.units) == list(range(73, 200, 2))
-        assert cache.roots == sum(map(len, cache.units.values()))
-        assert cache.folded == sum(map(len, cache.folds.values()))
+        assert list(cache.lists[3, 2, 1, 1, 400][1]) == list(range(1, 200, 2))
+        assert cache.items == _held_items(cache)
         cache = _SeriesCache()
         monkeypatch.setattr(fourier, "_series_coeffs", cache)
         monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
         for Q in range(101, 200, 2):
-            eval_urysohn_series(ctx32, 1, 1, Fraction(1, Q), 400)
-            assert cache.roots == sum(map(len, cache.units.values())) <= 1000
-            assert cache.folded == sum(map(len, cache.folds.values())) <= 1000
-        assert list(cache.units) == [191, 193, 195, 197, 199]
-        assert cache.cache_info().pairs == 267
+            got = eval_urysohn_series(ctx32, 1, 1, Fraction(1, Q), 400)
+            assert cache.items == _held_items(cache) <= 1000
+            monkeypatch.setattr(fourier, "_series_coeffs", _SeriesCache())
+            assert repr(eval_urysohn_series(ctx32, 1, 1, Fraction(1, Q), 400)) == repr(got)
+            monkeypatch.setattr(fourier, "_series_coeffs", cache)
+        # the folds that did not fit beside the list were served unkept,
+        # and the list was never filled again
+        assert list(cache.lists[3, 2, 1, 1, 400][1]) == [101, 103, 105]
+        assert cache.cache_info() == (49, 1, 1, 267)
 
     @pytest.mark.parametrize("store", ["list", "roots", "fold"])
     def test_any_store_trims_every_table_to_the_cap(self, ctx32, monkeypatch, store):
+        # "roots": a fold whose Q roots do not fit beside its list
         cache = _SeriesCache()
         monkeypatch.setattr(fourier, "_series_coeffs", cache)
         for Q in range(1, 120, 2):
             eval_urysohn_series(ctx32, Q % 3, 1, Fraction(1, Q), 400 + Q)
-        assert min(cache.pairs, cache.roots, cache.folded) > 1000
+        assert cache.items == _held_items(cache) > 1000
+        last = (3, 2, 2, 1, 519)
         monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
         if store == "list":
             cache(ctx32, 1, 2, 30)
+            assert (3, 2, 1, 2, 30) in cache.lists
         elif store == "roots":
-            cache.roots_of_unity(2)
+            cache.fold(last, 263)
+            assert 263 not in cache.lists[last][1]
         else:
-            cache.fold((3, 2, 2, 1, 519, 2), cache.lists[3, 2, 2, 1, 519])
-        assert cache.pairs == sum(map(len, cache.lists.values())) <= 1000
-        assert cache.roots == sum(map(len, cache.units.values())) <= 1000
-        assert cache.folded == sum(map(len, cache.folds.values())) <= 1000
-        # the last call's list, roots and fold are still held, so it reads no cap
+            cache.fold(last, 2)
+            assert 2 in cache.lists[last][1]
+        assert cache.items == _held_items(cache) <= 1000
+        # the last call's list and fold are still held, so it reads no cap
         monkeypatch.setenv("RATBASE_MAX_ENUM", "no cap")
         eval_urysohn_series(ctx32, 2, 1, Fraction(1, 119), 519)
 
@@ -531,7 +541,8 @@ class TestBudget:
         for z in (0, 5, Fraction(-7)):
             for r in (1, 2, 3):
                 _check_series(ctx32, 1, r, z, 40)
-                assert len(fourier._series_coeffs.folds[3, 2, 1, r, 40, 1]) == 1
+                terms, roots = fourier._series_coeffs.lists[3, 2, 1, r, 40][1][1]
+                assert len(terms) == 1 and roots == [1]
 
     def test_folds_outlive_their_lists(self, ctx32, monkeypatch):
         # 70 lists, so the first ones and their folds are evicted and
@@ -667,6 +678,12 @@ class TestIntegerFourierOracles:
         assert sides == {True, False}
 
 
+def _held_items(cache: _SeriesCache) -> int:
+    """The pairs, fold terms and roots a series cache holds, counted afresh."""
+    return sum(len(pairs) + sum(len(terms) + len(roots) for terms, roots in folds.values())
+               for pairs, folds in cache.lists.values())
+
+
 def _check_series(ctx, d, r, z, cutoff) -> SeriesEval:
     """eval_urysohn_series, bit-equal to urysohn_series_ref where it sums
     term by term (Q above the nonzero terms); where it folds, which
@@ -703,6 +720,10 @@ class TestIntegerFourierTables:
         max_m = max(300, a**r + a)
         assert coefficient_table(ctx, digits, r, max_m) == _table_ref(ctx, digits, r, max_m)
 
+    def test_table_above_the_bound_is_byte_identical(self, ctx32):
+        # 3^8 = 6561 < 6600 modes: the residues of level 8 repeat in one table
+        assert coefficient_table(ctx32, [1], 9, 6599) == _table_ref(ctx32, [1], 9, 6599)
+
     def test_integer_base_level_eight_allocates_nothing_of_size_a_r(self):
         # a^r = 10^8: a table over the residues mod a^r would need that many slots
         ctx = AdeleContext(Base(10, 1))
@@ -716,8 +737,7 @@ class TestIntegerFourierTables:
         assert peak < 64 * 1024
         assert repr(value) == repr(coeff_f_ref(ctx, 3, 8, xi).value)
         # a table or a series fill adds to the shared table only the sums of
-        # levels with a^k <= 4096, and keeps its own only of the levels above
-        # with a^k below its number of modes, 200 here
+        # levels with a^k <= 4096, and keeps none of the levels above
         for call in (lambda: coefficient_table(ctx, [3], 8, 200),
                      lambda: eval_urysohn_series(ctx, 3, 8, Fraction(1, 7), 200)):
             tracemalloc.start()
@@ -727,6 +747,117 @@ class TestIntegerFourierTables:
             finally:
                 tracemalloc.stop()
             assert peak < 256 * 1024
+
+
+class SeriesCacheMachine(RuleBasedStateMachine):
+    """Series, table and coeff_f calls on one series cache and one
+    level-factor table, with the cap raised, lowered and made invalid."""
+
+    BASES = (Base(3, 2), Base(5, 2), Base(5, 3), Base(7, 4))
+    # 5, 6 and 8 lie above the tabled levels somewhere: 7^5, 5^6, 3^8 > 2^12
+    LEVELS = (0, 1, 2, 3, 5, 6, 8)
+    # Q = 1009 exceeds the pairs of every list (cutoff <= 150), so the
+    # term-by-term path runs; the smaller Q fold
+    DENS = (1, 2, 3, 7, 9, 11 * 13, 1009)
+
+    def __init__(self):
+        super().__init__()
+        self.patch = pytest.MonkeyPatch()
+        self.cache = _SeriesCache()
+        self.calls: list[tuple] = []
+        self.patch.setattr(fourier, "_series_coeffs", self.cache)
+        self.patch.setattr(fourier, "_prefixes", {})
+        self.patch.delenv("RATBASE_MAX_ENUM", raising=False)
+
+    def teardown(self):
+        self.patch.undo()
+
+    @staticmethod
+    def _cold(call, *args):
+        """call(*args) on cold tables at the default cap."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fourier, "_series_coeffs", _SeriesCache())
+            mp.setattr(fourier, "_prefixes", {})
+            mp.delenv("RATBASE_MAX_ENUM", raising=False)
+            return call(*args)
+
+    def _held(self) -> set:
+        return {(key, Q) for key, (_, folds) in self.cache.lists.items()
+                for Q in (0, *folds)}
+
+    @rule(cap=st.sampled_from([None, "40", "300", "2000", "no cap"]))
+    def set_cap(self, cap):
+        if cap is None:
+            self.patch.delenv("RATBASE_MAX_ENUM", raising=False)
+        else:
+            self.patch.setenv("RATBASE_MAX_ENUM", cap)
+
+    def _series(self, base, d, r, z, cutoff):
+        self.calls.append((base, d, r, z, cutoff))
+        ctx = AdeleContext(base)
+        Q = (char_exponent(ctx, z / base.b**r) % 1).denominator
+        entry = self.cache.lists.get((base.a, base.b, d, r, cutoff))
+        warm = entry is not None and (Q > len(entry[0]) or Q in entry[1])
+        held, info, items = self._held(), self.cache.cache_info(), self.cache.items
+        try:
+            got = eval_urysohn_series(ctx, d, r, z, cutoff)
+        except (ScaleExceeded, ValueError):
+            # refused by the cap, or by an invalid one; a warm call reads none
+            assert not warm and self._held() <= held
+            return
+        assert repr(got) == repr(self._cold(eval_urysohn_series, ctx, d, r, z, cutoff))
+        if warm:
+            assert self.cache.items == items and self.cache.cache_info().hits == info.hits + 1
+        elif self.cache.cache_info().misses > info.misses or self._held() - held:
+            assert self.cache.items <= fourier.max_enum()
+
+    @rule(base=st.sampled_from(BASES), data=st.data(), r=st.sampled_from(LEVELS),
+          num=st.integers(-50, 50), den=st.sampled_from(DENS), cutoff=st.integers(1, 150))
+    def series(self, base, data, r, num, den, cutoff):
+        d = data.draw(st.integers(0, base.a - 1))
+        self._series(base, d, r, Fraction(num, den), cutoff)
+
+    @rule(base=st.sampled_from(BASES), r=st.sampled_from(LEVELS[1:4]),
+          den=st.sampled_from(DENS[:5]), first=st.integers(1, 40))
+    def many_series(self, base, r, den, first):
+        # 30 lists at once, so the bound of 64 lists is reached
+        for cutoff in range(first, first + 30):
+            self._series(base, 1, r, Fraction(1, den), cutoff)
+
+    @precondition(lambda self: self.calls)
+    @rule(data=st.data(), den=st.sampled_from(DENS))
+    def series_again(self, data, den):
+        # a recent list, at its own point or at a new one
+        base, d, r, z, cutoff = data.draw(st.sampled_from(self.calls[-8:]))
+        self._series(base, d, r, data.draw(st.sampled_from([z, Fraction(1, den)])), cutoff)
+
+    @rule(base=st.sampled_from(BASES), r=st.sampled_from(LEVELS), max_m=st.integers(0, 60))
+    def table(self, base, r, max_m):
+        ctx, digits = AdeleContext(base), list(range(base.a))
+        held, items = self._held(), self.cache.items
+        try:
+            got = coefficient_table(ctx, digits, r, max_m)
+        except (ScaleExceeded, ValueError):
+            return
+        assert got == self._cold(coefficient_table, ctx, digits, r, max_m)
+        assert self._held() == held and self.cache.items == items
+
+    @rule(base=st.sampled_from(BASES), data=st.data(), r=st.sampled_from(LEVELS),
+          m=st.integers(-10**6, 10**6))
+    def coefficient(self, base, data, r, m):
+        ctx, d = AdeleContext(base), data.draw(st.integers(0, base.a - 1))
+        xi = Fraction(m, base.b**r)
+        assert repr(coeff_f(ctx, d, r, xi)) == repr(self._cold(coeff_f, ctx, d, r, xi))
+
+    @invariant()
+    def one_count_under_one_bound(self):
+        assert len(self.cache.lists) <= 64
+        assert self.cache.items == _held_items(self.cache)
+
+
+def test_series_cache_keeps_one_rule():
+    run_state_machine_as_test(SeriesCacheMachine, settings=settings(
+        derandomize=True, database=None, max_examples=40, stateful_step_count=30))
 
 
 class TestLevelSumTable:
