@@ -40,7 +40,7 @@ import os
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .numeration import Base, _check_digits, _horner
 
@@ -301,6 +301,18 @@ class _Strict(tuple):
         return not self == other
 
     __hash__ = tuple.__hash__
+
+
+def _csv(header: Sequence[str], rows: Iterable[tuple]) -> str:
+    """The header line, then one line per row; a cell is str() of its value."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join([line % row for row in rows])
+
+
+def _json(value) -> str:
+    """value as indented JSON text; json is loaded only by the first record."""
+    import json
+    return json.dumps(value, indent=2) + "\n"
 
 
 # a dataclass only in name, so that dataclasses.replace, fields and asdict

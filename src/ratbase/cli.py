@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import random
 import sys
@@ -25,7 +24,7 @@ from .adelic import (AdeleContext, BoundaryAmbiguous, ScaleExceeded,
                      boundary_tubes, char_tilde, classify_digit,
                      corner_of_residues, cover_census, frac_p, in_z_alpha,
                      reduce_mod_lattice, verify_residue_system, _check_budget,
-                     _level, _parse_count, _tube_charge, _vp)
+                     _json, _level, _parse_count, _tube_charge, _vp)
 from .fourier import (coeff_f, coefficient_table, eval_urysohn_direct,
                       eval_urysohn_series, series_tail_bound, _fill_charge)
 from .numeration import (Base, DigitWord, NotInLanguage, decode, digit, encode,
@@ -126,15 +125,9 @@ def cmd_patterns(args) -> tuple[str, int]:
     stats = count_pattern(base, pattern, args.N)
     if args.format != "json":
         return f"total {stats.total}\n", EXIT_OK
-    return json.dumps({
-        "base": f"{base.a}/{base.b}",
-        "pattern": str(pattern),
-        "N": stats.N,
-        "total": stats.total,
-        "per_position": {str(k): v for k, v in stats.per_position.items()},
-        "padded_per_position": {str(k): v
-                                for k, v in stats.padded_per_position.items()},
-    }, indent=2) + "\n", EXIT_OK
+    return _json({"base": f"{base.a}/{base.b}", "pattern": str(pattern), "N": stats.N,
+                  "total": stats.total, "per_position": stats.per_position,
+                  "padded_per_position": stats.padded_per_position}), EXIT_OK
 
 
 def cmd_sod_sum(args) -> tuple[str, int]:

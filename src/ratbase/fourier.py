@@ -50,8 +50,8 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from .adelic import (AdeleContext, _box, _check_budget, _coordinates, _first_residue,
-                     _level, _split_b, _Strict, max_enum)
+from .adelic import (AdeleContext, _box, _check_budget, _coordinates, _csv,
+                     _first_residue, _level, _split_b, _Strict, max_enum)
 from .numeration import _check_digits
 
 # the constant factors of the angles, each computed as the expressions that
@@ -230,14 +230,10 @@ def coefficient_table(ctx: AdeleContext, digits: Sequence[int], r: int,
         raise ValueError("max_m must be nonnegative")
     _check_digits(ctx.base, digits)
     _check_budget(_fill_charge(ctx.base.a, r, len(digits) * (max_m + 1)))
-    rows: list[list[str]] = [[] for _ in digits]
-    for m, values in _f_values(ctx, digits, r, range(max_m + 1)):
-        for row, d, v in zip(rows, digits, values):
-            row.append(f"{m},{r},{d},{v.real!r},{v.imag!r},{abs(v)!r}")
-    lines = ["xi_numerator,r,digit,re,im,abs"]
-    for row in rows:
-        lines += row
-    return "\n".join(lines) + "\n"
+    ms, values = zip(*_f_values(ctx, digits, r, range(max_m + 1)))
+    return _csv(("xi_numerator", "r", "digit", "re", "im", "abs"),
+                [(m, r, d, v.real, v.imag, abs(v))
+                 for d, column in zip(digits, zip(*values)) for m, v in zip(ms, column)])
 
 
 # ---------------------------------------------------------------------------

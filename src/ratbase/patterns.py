@@ -49,12 +49,11 @@ at their first call, so importing ratbase does not load it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .adelic import _check_budget
+from .adelic import _check_budget, _csv, _json
 from .numeration import (Base, _check_digits, _horner, _read_digits, encode,
                          format_digits, length)
 
@@ -193,24 +192,26 @@ def _progression_counts(base: Base, firsts: Sequence[int], step: int, N: int,
         orbit.append(b * orbit[-1] // a)
     # a position past length(N) counts as length(N) does: T^k(N) = 0 at both
     ks = range(len(orbit)) if k is None else [min(k, len(orbit) - 1)]
-    counts, lefts = [], []  # by first term; lefts by position from 0
-    for f in firsts:
+    counts, lefts, ends = [], [], []  # by first term; lefts by position from 0
+    for i, f in enumerate(firsts):
         row, left = [], [0] * (ks[-1] + 1)
         bk, ak = b ** ks[0], a ** ks[0]
-        for k in ks:
+        for j, k in enumerate(ks):
             below, rest = divmod(orbit[k] - f, step)
             if below < 0:  # f > T^k(N), here and at every later position
                 break
             # below + (rest > 0) terms lie under T^k(N), itself a term if not rest
             full, left[k] = divmod(below + (rest > 0), bk)
-            c = full * ak - (f == 0)
+            row.append(full * ak - (f == 0))
             if not rest:
-                c += N + 1 - (_lo(a, b, orbit[k], k) if orbit[k] else 0)
-            row.append(c)
+                ends.append((i, j, k))
             bk, ak = bk * b, ak * a
         counts.append(row + [0] * (len(ks) - len(row)))
         lefts.append(left)
     _check_budget(sum(map(sum, lefts)) + extra)
+    # a term T^k(N) adds its interval up to N: lo_k's k steps wait for the check
+    for i, j, k in ends:
+        counts[i][j] += N + 1 - (_lo(a, b, orbit[k], k) if orbit[k] else 0)
     for i, f in enumerate(firsts):
         if f - step in firsts:
             lo, hi = _lo(a, b, f - step, ks[0]), _lo(a, b, f - step + 1, ks[0])
@@ -434,17 +435,16 @@ def asymptotic_report(base: Base, pattern: Pattern,
     return rows
 
 
+_REPORT_HEADER = ("N", "S_w", "main_term", "residual", "residual_norm")
+
+
+def _report_rows(rows: Iterable[ReportRow]) -> list[tuple]:
+    return [(r.N, r.s_w, r.main_term, r.residual, r.residual_norm) for r in rows]
+
+
 def report_csv(rows: Iterable[ReportRow]) -> str:
-    lines = ["N,S_w,main_term,residual,residual_norm"]
-    for r in rows:
-        lines.append(f"{r.N},{r.s_w},{r.main_term!r},{r.residual!r},{r.residual_norm!r}")
-    return "\n".join(lines) + "\n"
+    return _csv(_REPORT_HEADER, _report_rows(rows))
 
 
 def report_json(rows: Iterable[ReportRow]) -> str:
-    recs = [
-        {"N": r.N, "S_w": r.s_w, "main_term": r.main_term,
-         "residual": r.residual, "residual_norm": r.residual_norm}
-        for r in rows
-    ]
-    return json.dumps(recs, indent=2) + "\n"
+    return _json([dict(zip(_REPORT_HEADER, row)) for row in _report_rows(rows)])

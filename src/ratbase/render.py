@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .adelic import (AdeleContext, _check_budget, _level, fiber_interval, in_z_alpha,
-                     tile_corners)
+from .adelic import (AdeleContext, _check_budget, _csv, _level, fiber_interval,
+                     in_z_alpha, tile_corners)
 
 # SVG scale: pixels per real unit, the fiber axis's height, and the margin
 _PX_PER_UNIT, _FIBER_PX, _PAD = 160, 360, 12
@@ -62,11 +62,9 @@ def render_tiles(ctx: AdeleContext, r: int, translates: Iterable,
 
 
 def tiles_csv(rects: Sequence[TileRect]) -> str:
-    lines = ["translate,digit,real_lo,real_hi,fiber_lo,fiber_hi"]
-    for R in rects:
-        lines.append(f"{R.translate},{R.digit},{R.real_lo},{R.real_hi},"
-                     f"{R.fiber_lo},{R.fiber_hi}")
-    return "\n".join(lines) + "\n"
+    return _csv(("translate", "digit", "real_lo", "real_hi", "fiber_lo", "fiber_hi"),
+                [(R.translate, R.digit, R.real_lo, R.real_hi, R.fiber_lo, R.fiber_hi)
+                 for R in rects])
 
 
 def tiles_svg(rects: Sequence[TileRect]) -> str:

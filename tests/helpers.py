@@ -9,8 +9,9 @@ containment checks instead of integer numerators over a^r and
 cross-multiplied integer checks, a Fraction lattice reduction instead of
 point location at level 0, Fraction character exponents instead of
 residues of m = xi b^r, Fraction SVG coordinates instead of integers over
-a common denominator, numerical quadrature instead of closed forms, and a
-400-digit Decimal series for sin instead of math.sin.
+a common denominator, numerical quadrature instead of closed forms, a
+400-digit Decimal series for sin instead of math.sin, and one hand-built
+serializer per table instead of the package's shared CSV and JSON writers.
 Agreement between these and the library is the point of the tests, so
 nothing below imports anything fancier than frac_p, char_exponent,
 coeff_g, tile_corners and the stream's prefix builder.
@@ -21,6 +22,7 @@ import bisect
 import cmath
 import functools
 import itertools
+import json
 import math
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
@@ -655,3 +657,58 @@ def tiles_svg_ref(rects, px_per_unit: int = 160, fiber_px: int = 360,
                    f'y="{fy(R.fiber_hi)}" width="{w}" height="{h}"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Hand-built serializers: each table and record as it was written before the
+# package routed them all through one CSV writer and one JSON writer.
+
+
+def tiles_csv_ref(rects) -> str:
+    lines = ["translate,digit,real_lo,real_hi,fiber_lo,fiber_hi"]
+    for R in rects:
+        lines.append(f"{R.translate},{R.digit},{R.real_lo},{R.real_hi},"
+                     f"{R.fiber_lo},{R.fiber_hi}")
+    return "\n".join(lines) + "\n"
+
+
+def report_csv_ref(rows) -> str:
+    lines = ["N,S_w,main_term,residual,residual_norm"]
+    for r in rows:
+        lines.append(f"{r.N},{r.s_w},{r.main_term!r},{r.residual!r},{r.residual_norm!r}")
+    return "\n".join(lines) + "\n"
+
+
+def report_json_ref(rows) -> str:
+    recs = [
+        {"N": r.N, "S_w": r.s_w, "main_term": r.main_term,
+         "residual": r.residual, "residual_norm": r.residual_norm}
+        for r in rows
+    ]
+    return json.dumps(recs, indent=2) + "\n"
+
+
+def coefficient_table_ref(digits, r: int, f_values) -> str:
+    """The CSV that coefficient_table built from the (m, values) pairs of
+    fourier._f_values."""
+    rows: list[list[str]] = [[] for _ in digits]
+    for m, values in f_values:
+        for row, d, v in zip(rows, digits, values):
+            row.append(f"{m},{r},{d},{v.real!r},{v.imag!r},{abs(v)!r}")
+    lines = ["xi_numerator,r,digit,re,im,abs"]
+    for row in rows:
+        lines += row
+    return "\n".join(lines) + "\n"
+
+
+def patterns_record_ref(base: Base, pattern, stats) -> str:
+    """The record of `patterns --format json` without --horizons or --k."""
+    return json.dumps({
+        "base": f"{base.a}/{base.b}",
+        "pattern": str(pattern),
+        "N": stats.N,
+        "total": stats.total,
+        "per_position": {str(k): v for k, v in stats.per_position.items()},
+        "padded_per_position": {str(k): v
+                                for k, v in stats.padded_per_position.items()},
+    }, indent=2) + "\n"

@@ -1,8 +1,11 @@
 """Imports and dead code: every name a library module imports is used in
 that module, every module-level private name is read somewhere in the
-library, and importing ratbase, or running a command that never sweeps,
-leaves numpy unloaded."""
+library, importing ratbase, or running a command that never sweeps,
+leaves numpy unloaded, and importing it leaves json unloaded until the
+first JSON record."""
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from ratbase import Base
+from ratbase.cli import main
 from helpers import stream_prefix
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ratbase"
@@ -168,7 +172,32 @@ def test_importing_ratbase_leaves_numpy_unloaded():
     assert got == {"numpy": False}
 
 
+@pytest.mark.parametrize("module", ["ratbase", "ratbase.cli"])
+def test_importing_ratbase_leaves_json_unloaded(module):
+    got = run_fresh(f"import sys, {module}\n"
+                    "result = {'json': 'json' in sys.modules}\n"
+                    "import json")
+    assert got == {"json": False, "numpy": False}
+
+
 BASE32 = ["--a", "3", "--b", "2"]
+
+
+@pytest.mark.parametrize("horizons", [[], ["--horizons", "100,1e4"]],
+                         ids=["record", "horizons"])
+def test_patterns_json_is_json(horizons):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["patterns", *BASE32, "--w", "21", "--N", "1e4",
+                     "--format", "json", *horizons]) == 0
+    got = json.loads(out.getvalue())
+    if horizons:
+        assert [list(rec) for rec in got] == [
+            ["N", "S_w", "main_term", "residual", "residual_norm"]] * 2
+        assert [rec["N"] for rec in got] == [100, 10**4]
+    else:
+        assert got["total"] == sum(got["per_position"].values())
+        assert list(got["per_position"]) == [str(k) for k in range(len(got["per_position"]))]
 
 
 @pytest.mark.parametrize("argv", [

@@ -24,11 +24,14 @@ from ratbase import (
     count_pattern,
     count_pattern_at,
     decode,
+    encode,
     length,
     report_csv,
     report_json,
+    sum_of_digits,
     summatory_sod,
 )
+from ratbase import patterns
 from ratbase.patterns import _progression_counts, _residue, _value
 from helpers import (BASES, ORACLE_BASES, low_digit_classes, residue_class_count,
                      scan_count, stream_prefix, stream_scan, stream_scan_bulk,
@@ -253,6 +256,20 @@ class TestBeyondInt64:
         N = 10**9
         assert sum(count_pattern_at(b32, Pattern(b32, (d,)), 3, N, padded=True)
                    for d in range(3)) == N
+
+    def test_refusal_takes_no_lo_steps(self, b32, monkeypatch):
+        # lo_k(T^k(N)) takes k steps at each position, O(length(N)^3) in all:
+        # a refused count must not take them
+        lo = patterns._lo
+
+        def short_lo(a, b, q, k):
+            assert k < 10, "lo_k walked before the budget check"
+            return lo(a, b, q, k)
+
+        monkeypatch.setattr(patterns, "_lo", short_lo)
+        monkeypatch.setenv("RATBASE_MAX_ENUM", str(2 * 10**5))
+        with pytest.raises(ScaleExceeded):
+            count_pattern(b32, Pattern(b32, (2,)), 10**1200)
 
 
 # horizons for the residue-class oracle, from n = 0 to far past int64
@@ -668,3 +685,50 @@ class TestReports:
         recs = json.loads(report_json(rows))
         assert recs[0]["N"] == 100
         assert recs[0]["S_w"] == rows[0].s_w
+
+
+# ---------------------------------------------------------------------------
+# consecutive horizons: a count at N exceeds the count at N - 1 exactly where
+# the word of N holds the pattern, at every position, on both sides of the
+# engine's int64 switch (a N <= 2^63 - 1) and for a window that opens with 0
+
+M31 = ((1 << 63) - 1) // 31
+M11 = ((1 << 63) - 1) // 11
+CONSECUTIVE = [  # (a, b, w, N, whether summatory_sod(N) exceeds the default cap)
+    (3, 2, "21", 10**11 + 7, True),
+    (7, 6, "34", 2 * 10**8 + 1, True),
+    (10, 1, "07", 10**30, False),
+    (31, 2, "1", M31, False),
+    (31, 2, "1", M31 + 1, False),
+    (11, 2, "1", M11 - 1, False),
+    (3, 2, "02", 10**9, False),
+]
+
+
+@pytest.mark.parametrize("a, b, w, N, refused", CONSECUTIVE,
+                         ids=[f"{a}/{b}-w{w}-N{N}" for a, b, w, N, _ in CONSECUTIVE])
+def test_counts_step_by_the_word_of_n(a, b, w, N, refused, monkeypatch):
+    monkeypatch.delenv("RATBASE_MAX_ENUM", raising=False)
+    base = Base(a, b)
+    pattern = Pattern.parse(base, w)
+    m = len(pattern)
+    lsf = encode(base, N).digits[::-1]
+    now, before = count_pattern(base, pattern, N), count_pattern(base, pattern, N - 1)
+
+    def at(stats, k, padded):
+        counts = stats.padded_per_position if padded else stats.per_position
+        if k in counts:
+            return counts[k]
+        return count_pattern_at(base, pattern, k, stats.N, padded=padded)
+
+    for k in range(len(lsf) + 1):
+        window = tuple(lsf[k + i] if k + i < len(lsf) else 0 for i in range(m))
+        hit = int(window == pattern.lsf)
+        assert at(now, k, True) - at(before, k, True) == hit, k
+        assert at(now, k, False) - at(before, k, False) == (
+            hit if k + m <= len(lsf) else 0), k
+    if refused:
+        with pytest.raises(ScaleExceeded):
+            summatory_sod(base, N)
+    else:
+        assert summatory_sod(base, N) - summatory_sod(base, N - 1) == sum_of_digits(base, N)
