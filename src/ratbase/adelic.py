@@ -45,6 +45,7 @@ from typing import Iterable, Mapping, Sequence
 from .numeration import Base, _check_digits, _horner
 
 DEFAULT_MAX_ENUM = 10**7
+_COUNT_BOUND = 10**4300  # a count has at most 4300 digits, int()'s default limit
 
 
 class ScaleExceeded(RuntimeError):
@@ -63,6 +64,8 @@ def _parse_count(text: str) -> int:
     """Nonnegative integer, also accepted exactly in scientific notation (1e23)."""
     try:
         n = int(text)
+        if abs(n) >= _COUNT_BOUND:  # where int()'s limit is lifted, as the CLI does
+            raise ValueError
     except ValueError:
         from decimal import Decimal, InvalidOperation
         try:

@@ -425,26 +425,35 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # flags are read under Python's 4300-digit limit on int() of text, but a
+    # result prints at any length; int() gives 0 where there is no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        text, code = args.func(args)
-    except NotInLanguage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_IN_LANGUAGE
-    except ScaleExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCALE
-    except ValueError as exc:
-        parser.error(str(exc))
-    if getattr(args, "out", None):
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: --out: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
-    return code
+            text, code = args.func(args)
+        except NotInLanguage as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NOT_IN_LANGUAGE
+        except ScaleExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SCALE
+        except ValueError as exc:
+            parser.error(str(exc))
+        if getattr(args, "out", None):
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"error: --out: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+        else:
+            sys.stdout.write(text)
+        return code
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

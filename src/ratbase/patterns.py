@@ -50,10 +50,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .adelic import _check_budget, _csv, _json
+from .adelic import _check_budget, _csv, _json, _Strict
 from .numeration import (Base, _check_digits, _horner, _read_digits, encode,
                          format_digits, length)
 
@@ -94,15 +95,12 @@ class Pattern:
         return tuple(reversed(self.word))
 
 
-@dataclass(frozen=True)
-class PatternStats:
-    """Per-position counts for one pattern up to a horizon N."""
+class PatternStats(_Strict, namedtuple(
+        "_Fields", "pattern N per_position padded_per_position total")):
+    """Counts for one pattern up to N, each per-position field a dict from k
+    to its count: an immutable 5-tuple equal only to another PatternStats."""
 
-    pattern: Pattern
-    N: int
-    per_position: dict[int, int]
-    padded_per_position: dict[int, int]
-    total: int
+    __slots__ = ()
 
 
 def _residue(base: Base, w_lsf: Sequence[int]) -> int:
@@ -116,7 +114,9 @@ def _residue(base: Base, w_lsf: Sequence[int]) -> int:
 
 
 def _lo(a: int, b: int, q, k: int):
-    """lo_k(q), the least n with T^k(n) >= q."""
+    """lo_k(q), the least n with T^k(n) >= q: q a^k when b = 1."""
+    if b == 1:
+        return q * a**k
     for _ in range(k):
         q = -(-a * q // b)
     return q
@@ -258,13 +258,8 @@ def count_pattern(base: Base, pattern: Pattern, N: int) -> PatternStats:
     counts = _progression_counts(base, firsts, base.a ** m, N)
     padded, exact = counts[0], counts[-1]
     per_position = dict(enumerate(exact[:max(len(padded) - m, 0)]))
-    return PatternStats(
-        pattern=pattern,
-        N=N,
-        per_position=per_position,
-        padded_per_position=dict(enumerate(padded)),
-        total=sum(per_position.values()),
-    )
+    return PatternStats(pattern, N, per_position, dict(enumerate(padded)),
+                        sum(per_position.values()))
 
 
 def summatory_sod(base: Base, N: int) -> int:
@@ -401,13 +396,10 @@ def _read(base: Base, n: int, skip: int, count: int) -> tuple[int, ...]:
     return tuple(out[skip:skip + count])
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    N: int
-    s_w: int
-    main_term: float
-    residual: float
-    residual_norm: float
+class ReportRow(_Strict, namedtuple("_Fields", "N s_w main_term residual residual_norm")):
+    """One horizon of a growth report: an immutable 5-tuple equal only to another ReportRow."""
+
+    __slots__ = ()
 
 
 def asymptotic_report(base: Base, pattern: Pattern,
@@ -425,26 +417,17 @@ def asymptotic_report(base: Base, pattern: Pattern,
         s_w = count_pattern(base, pattern, N).total
         main = N * base.a ** (-len(pattern)) * math.log(N) / log_alpha
         residual = s_w - main
-        rows.append(ReportRow(
-            N=N,
-            s_w=s_w,
-            main_term=main,
-            residual=residual,
-            residual_norm=residual / (N * math.log(math.log(N))),
-        ))
+        rows.append(ReportRow(N, s_w, main, residual,
+                              residual / (N * math.log(math.log(N)))))
     return rows
 
 
 _REPORT_HEADER = ("N", "S_w", "main_term", "residual", "residual_norm")
 
 
-def _report_rows(rows: Iterable[ReportRow]) -> list[tuple]:
-    return [(r.N, r.s_w, r.main_term, r.residual, r.residual_norm) for r in rows]
-
-
 def report_csv(rows: Iterable[ReportRow]) -> str:
-    return _csv(_REPORT_HEADER, _report_rows(rows))
+    return _csv(_REPORT_HEADER, rows)
 
 
 def report_json(rows: Iterable[ReportRow]) -> str:
-    return _json([dict(zip(_REPORT_HEADER, row)) for row in _report_rows(rows)])
+    return _json([dict(zip(_REPORT_HEADER, row)) for row in rows])

@@ -11,12 +11,12 @@ Interiors of rectangles from a single tiling are pairwise disjoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .adelic import (AdeleContext, _check_budget, _csv, _level, fiber_interval,
-                     in_z_alpha, tile_corners)
+from .adelic import (AdeleContext, _check_budget, _csv, _level, _Strict,
+                     fiber_interval, in_z_alpha, tile_corners)
 
 # SVG scale: pixels per real unit, the fiber axis's height, and the margin
 _PX_PER_UNIT, _FIBER_PX, _PAD = 160, 360, 12
@@ -24,14 +24,11 @@ _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
             "#aa3377", "#bbbbbb", "#222255", "#225555", "#552255")
 
 
-@dataclass(frozen=True)
-class TileRect:
-    translate: Fraction
-    digit: int
-    real_lo: Fraction
-    real_hi: Fraction
-    fiber_lo: Fraction
-    fiber_hi: Fraction
+class TileRect(_Strict, namedtuple(
+        "_Fields", "translate digit real_lo real_hi fiber_lo fiber_hi")):
+    """One box as a rectangle: an immutable 6-tuple equal only to another TileRect."""
+
+    __slots__ = ()
 
 
 def render_tiles(ctx: AdeleContext, r: int, translates: Iterable,
@@ -57,14 +54,13 @@ def render_tiles(ctx: AdeleContext, r: int, translates: Iterable,
                 cc = c + t
                 lo, hi = fiber_interval(ctx, cc, r, scheme)
                 rects.append(TileRect(t, d, cc, cc + width, lo, hi))
-    rects.sort(key=lambda R: (R.translate, R.digit, R.real_lo, R.fiber_lo))
+    # every box has the same width, so real_hi never breaks a tie of real_lo
+    rects.sort()
     return rects
 
 
 def tiles_csv(rects: Sequence[TileRect]) -> str:
-    return _csv(("translate", "digit", "real_lo", "real_hi", "fiber_lo", "fiber_hi"),
-                [(R.translate, R.digit, R.real_lo, R.real_hi, R.fiber_lo, R.fiber_hi)
-                 for R in rects])
+    return _csv(TileRect._fields, rects)
 
 
 def tiles_svg(rects: Sequence[TileRect]) -> str:

@@ -121,6 +121,44 @@ def stream_scan(base: Base, word_msf, x: int) -> int:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def first_with_length(base: Base, L: int) -> int:
+    """The least n >= 1 with at least L digits, by bisection on n (word
+    length never decreases in n)."""
+    lo, hi = 1, 1
+    while len(word_digits(base, hi)) < L:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if len(word_digits(base, mid)) < L else (lo, mid)
+    return lo
+
+
+def stream_offset(base: Base, n: int) -> int:
+    """P(n), the digits the words 1..n-1 fill: a word has L digits or more
+    from f_L, the first n with L digits, on; so P(n) = sum_L max(0, n - f_L)."""
+    total, L = 0, 1
+    while (f := first_with_length(base, L)) < n:
+        total, L = total + n - f, L + 1
+    return total
+
+
+def stream_window(base: Base, x: int, m: int) -> tuple[int, ...]:
+    """Stream digits z_x, ..., z_(x+m-1), read from the words that hold them;
+    z_x lies in the word of the largest n with P(n) < x, found by bisection."""
+    lo, hi = 1, x
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if stream_offset(base, mid) < x else (lo, mid - 1)
+    skip = x - stream_offset(base, lo) - 1
+    z: list[int] = []
+    n = lo
+    while len(z) < skip + m:
+        z.extend(word_digits(base, n))
+        n += 1
+    return tuple(z[skip:skip + m])
+
+
 def stream_word_ends(base: Base, x: int) -> np.ndarray:
     """Stream offsets at which the words of 1, 2, ... end, up to past x,
     from every word length counted at once."""

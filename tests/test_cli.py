@@ -1,4 +1,5 @@
 """Command line interface: outputs, exit codes, determinism."""
+import contextlib
 import json
 import re
 import shlex
@@ -405,7 +406,8 @@ class TestBudgetVariable:
         assert cli.main(["sod-sum", *BASE32, "--N", "1000"]) == 0
         assert capsys.readouterr().out == "14734\n"
 
-    @pytest.mark.parametrize("raw", ["abc", "-5", "1.5"])
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1.5", "1" + "0" * 4300],
+                             ids=["abc", "-5", "1.5", "4301-digits"])
     def test_bad_value_is_a_usage_error(self, raw, capsys, monkeypatch):
         from ratbase import cli
         monkeypatch.setenv("RATBASE_MAX_ENUM", raw)
@@ -416,6 +418,73 @@ class TestBudgetVariable:
         assert out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "RATBASE_MAX_ENUM" in errors[0], err
+
+
+@contextlib.contextmanager
+def _any_int_length():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestIntegersOfAnyLength:
+    """A result of more than 4300 digits prints whole, while the flags are
+    still read under Python's limit on int() of text, and main leaves that
+    limit as it found it, on every exit."""
+
+    @staticmethod
+    def main(argv, capsys):
+        from ratbase import cli
+        limit = sys.get_int_max_str_digits()
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        assert sys.get_int_max_str_digits() == limit
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, line", [
+        # digit 7 fills each of the 4299 positions of 1..10^4299 - 1 10^4298 times
+        (("patterns", "--a", "10", "--b", "1", "--w", "7", "--N", "1e4299"),
+         lambda: f"total {4299 * 10**4298}"),
+        # s(1) + ... + s(2^k) = k 2^(k-1) + 1
+        (("sod-sum", "--a", "2", "--b", "1", "--N", str(2**14280)),
+         lambda: str(14280 * 2**14279 + 1)),
+        (("decode", "--a", "10", "--b", "1", "1" + "0" * 4400), lambda: str(10**4400)),
+    ], ids=["patterns", "sod-sum", "decode"])
+    def test_prints_the_exact_value(self, argv, line, capsys):
+        code, got = self.main(argv, capsys)
+        with _any_int_length():
+            expected = line()
+        assert (code, got.out, got.err) == (0, expected + "\n", "")
+        assert len(expected) > 4300
+
+    def test_json_record(self, capsys, monkeypatch):
+        from ratbase import Pattern, PatternStats, cli
+        base = Base(10, 1)
+        huge = 7 * 10**5000
+        stats = PatternStats(Pattern(base, (7,)), 10**4299, {0: huge}, {0: huge, 1: 1}, huge)
+        monkeypatch.setattr(cli, "count_pattern", lambda *args: stats)
+        code, got = self.main(("patterns", "--a", "10", "--b", "1", "--w", "7",
+                               "--N", "1e4299", "--format", "json"), capsys)
+        assert code == 0
+        with _any_int_length():
+            record = json.loads(got.out)
+        assert (record["total"], record["per_position"], record["padded_per_position"]) == (
+            huge, {"0": huge}, {"0": huge, "1": 1})
+
+    @pytest.mark.parametrize("argv", [
+        ("patterns", "--a", "10", "--b", "1", "--w", "7", "--N", "1e4300"),
+        ("patterns", *BASE32, "--w", "2", "--padded"),
+        ("sod-sum", *BASE32, "--N", "1e30"),
+        ("decode", *BASE32, "1"),
+    ], ids=["count-of-4301-digits", "usage", "budget", "not-in-language"])
+    def test_refusals_keep_the_limit(self, argv, capsys):
+        code, got = self.main(argv, capsys)
+        assert code in (2, 3, 64) and got.out == ""
 
 
 def _readme_cli_lines() -> list[str]:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -33,9 +34,10 @@ from ratbase import (
 )
 from ratbase import patterns
 from ratbase.patterns import _progression_counts, _residue, _value
-from helpers import (BASES, ORACLE_BASES, low_digit_classes, residue_class_count,
-                     scan_count, stream_prefix, stream_scan, stream_scan_bulk,
-                     stream_word_ends, word_digits)
+from helpers import (BASES, ORACLE_BASES, first_with_length, low_digit_classes,
+                     residue_class_count, scan_count, stream_offset, stream_prefix,
+                     stream_scan, stream_scan_bulk, stream_window, stream_word_ends,
+                     word_digits)
 
 KERNEL_BASES = [Base(3, 2), Base(5, 2), Base(10, 1)]
 ENGINE_BASES = BASES + [Base(7, 6)]
@@ -702,15 +704,18 @@ CONSECUTIVE = [  # (a, b, w, N, whether summatory_sod(N) exceeds the default cap
     (31, 2, "1", M31 + 1, False),
     (11, 2, "1", M11 - 1, False),
     (3, 2, "02", 10**9, False),
+    # an integer base reads lo_k(q) = q a^k in one product, at any length(N)
+    (2, 1, "01", 10**2400, False),
 ]
 
 
-@pytest.mark.parametrize("a, b, w, N, refused", CONSECUTIVE,
-                         ids=[f"{a}/{b}-w{w}-N{N}" for a, b, w, N, _ in CONSECUTIVE])
-def test_counts_step_by_the_word_of_n(a, b, w, N, refused, monkeypatch):
-    monkeypatch.delenv("RATBASE_MAX_ENUM", raising=False)
-    base = Base(a, b)
-    pattern = Pattern.parse(base, w)
+def _horizon_id(N: int) -> str:
+    return str(N) if N < 10**40 else f"1e{len(str(N)) - 1}"
+
+
+def _check_steps(base: Base, pattern: Pattern, N: int, refused: bool) -> None:
+    """Counts at N minus counts at N - 1, at every position, exact and
+    padded, and the digit sums' difference, against the word of N."""
     m = len(pattern)
     lsf = encode(base, N).digits[::-1]
     now, before = count_pattern(base, pattern, N), count_pattern(base, pattern, N - 1)
@@ -732,3 +737,67 @@ def test_counts_step_by_the_word_of_n(a, b, w, N, refused, monkeypatch):
             summatory_sod(base, N)
     else:
         assert summatory_sod(base, N) - summatory_sod(base, N - 1) == sum_of_digits(base, N)
+
+
+@pytest.mark.parametrize("a, b, w, N, refused", CONSECUTIVE,
+                         ids=[f"{a}/{b}-w{w}-N{_horizon_id(N)}"
+                              for a, b, w, N, _ in CONSECUTIVE])
+def test_counts_step_by_the_word_of_n(a, b, w, N, refused, monkeypatch):
+    monkeypatch.delenv("RATBASE_MAX_ENUM", raising=False)
+    base = Base(a, b)
+    start = time.perf_counter()
+    _check_steps(base, Pattern.parse(base, w), N, refused)
+    assert time.perf_counter() - start < 2.0
+
+
+# the first n of each word length: N = f_L - 1, f_L and f_L + 1 in turn, where
+# count_pattern's padded positions grow by one; a count one position past
+# length(N) is read with count_pattern_at
+BAND_EDGES = [(3, 2, "21", L) for L in (1, 2, 3, 45)] + [
+    (3, 2, "02", 30), (7, 6, "34", 90), (7, 6, "1", 4), (10, 1, "07", 25),
+    (10, 1, "7", 1), (11, 2, "1", 20), (11, 2, "10", 3)]
+
+
+@pytest.mark.parametrize("a, b, w, L", BAND_EDGES,
+                         ids=[f"{a}/{b}-w{w}-L{L}" for a, b, w, L in BAND_EDGES])
+def test_counts_step_across_a_word_length(a, b, w, L, monkeypatch):
+    monkeypatch.delenv("RATBASE_MAX_ENUM", raising=False)
+    base = Base(a, b)
+    first = first_with_length(base, L)
+    assert len(encode(base, first).digits) == L > len(encode(base, first - 1).digits)
+    for N in (first, first + 1):
+        _check_steps(base, Pattern.parse(base, w), N, refused=False)
+
+
+# consecutive stream positions: gamma_w(x) - gamma_w(x - 1) is 1 exactly where
+# the window (z_(x+|w|-1), ..., z_x) spells w, its digits read from the words
+# that hold them; each run of windows below but one holds a match, and the
+# window read forward would misplace the matches of each pattern that is not
+# a palindrome
+STREAM_STEPS = [  # (a, b, w, x0): the windows at x0 .. x0 + 11
+    (3, 2, "21", 1),
+    (3, 2, "21", 10**11),
+    (3, 2, "0", 10**11),
+    (3, 2, "212", 10**11 + 10),
+    (3, 2, "02", 10**6),
+    (3, 2, "02", 10**11 + 1),
+    (3, 2, "21", stream_offset(Base(3, 2), first_with_length(Base(3, 2), 40)) - 5),
+    (7, 4, "31", 10**9),
+    (7, 4, "06", 10**9),  # no 6 is followed by a 0 in this stream: no match
+    (7, 4, "31", stream_offset(Base(7, 4), first_with_length(Base(7, 4), 25)) - 5),
+    (10, 1, "07", 125),
+    (10, 1, "7", 1),
+    (10, 1, "7", 10**8 + 65),
+]
+
+
+@pytest.mark.parametrize("a, b, w, x0", STREAM_STEPS,
+                         ids=[f"{a}/{b}-w{w}-x{x0}" for a, b, w, x0 in STREAM_STEPS])
+def test_stream_counts_step_by_the_window_at_x(a, b, w, x0, monkeypatch):
+    monkeypatch.delenv("RATBASE_MAX_ENUM", raising=False)
+    base = Base(a, b)
+    pattern = Pattern.parse(base, w)
+    xs = range(x0, x0 + 12)
+    counts = champernowne_freq_bulk(base, [pattern], [x0 - 1, *xs])[pattern.word]
+    hits = [int(stream_window(base, x, len(pattern))[::-1] == pattern.word) for x in xs]
+    assert [now - before for before, now in zip(counts, counts[1:])] == hits

@@ -6,6 +6,7 @@ ones, signed zeros, subnormal, huge and non-finite floats, Fractions with
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from ratbase import AdeleContext, Base, Pattern, PatternStats, ReportRow
@@ -33,14 +34,17 @@ def outcome(write, *args):
         return type(exc)
 
 
-@given(st.lists(st.builds(TileRect, FRACTIONS | INTS, INTS, CELLS, CELLS, CELLS, CELLS),
-                max_size=8))
+TILE_RECT = st.builds(TileRect, FRACTIONS | INTS, INTS, CELLS, CELLS, CELLS, CELLS)
+
+
+@given(st.lists(TILE_RECT, max_size=8))
 @example([])
 def test_tiles_csv_writes_what_it_wrote(rects):
     assert tiles_csv(rects) == tiles_csv_ref(rects)
 
 
-REPORT_ROWS = st.lists(st.builds(ReportRow, INTS, INTS, FLOATS, FLOATS, FLOATS), max_size=8)
+REPORT_ROW = st.builds(ReportRow, INTS, INTS, FLOATS, FLOATS, FLOATS)
+REPORT_ROWS = st.lists(REPORT_ROW, max_size=8)
 
 
 @given(REPORT_ROWS)
@@ -67,10 +71,10 @@ def test_coefficient_table_writes_what_it_wrote(data, digits, r, max_m):
 
 
 POSITIONS = st.dictionaries(st.integers(0, 400), INTS, max_size=12)
+ABW = st.sampled_from([("3", "2", "21"), ("10", "1", "07"), ("7", "4", "1")])
 
 
-@given(st.sampled_from([("3", "2", "21"), ("10", "1", "07"), ("7", "4", "1")]),
-       INTS, INTS, POSITIONS, POSITIONS)
+@given(ABW, INTS, INTS, POSITIONS, POSITIONS)
 @example(("3", "2", "21"), 0, 0, {}, {})
 def test_patterns_record_writes_what_it_wrote(abw, N, total, exact, padded):
     a, b, w = abw
@@ -82,3 +86,54 @@ def test_patterns_record_writes_what_it_wrote(abw, N, total, exact, padded):
     with mock.patch("ratbase.cli.count_pattern", lambda *args: stats):
         text, code = cmd_patterns(args)
     assert (text, code) == (patterns_record_ref(base, pattern, stats), 0)
+
+
+# ---------------------------------------------------------------------------
+# the records are their rows: immutable named tuples, each equal only to a
+# record of its own type
+
+PATTERN_STATS = st.builds(
+    lambda abw, *fields: PatternStats(Pattern.parse(Base(int(abw[0]), int(abw[1])), abw[2]),
+                                      *fields),
+    ABW, INTS, POSITIONS, POSITIONS, INTS)
+FIELDS = {
+    TileRect: ("translate", "digit", "real_lo", "real_hi", "fiber_lo", "fiber_hi"),
+    ReportRow: ("N", "s_w", "main_term", "residual", "residual_norm"),
+    PatternStats: ("pattern", "N", "per_position", "padded_per_position", "total"),
+}
+
+
+@given(st.one_of(TILE_RECT, REPORT_ROW, PATTERN_STATS))
+def test_a_record_is_a_tuple_of_its_fields(record):
+    kind = type(record)
+    names = FIELDS[kind]
+    assert kind._fields == names
+    assert tuple(record) == tuple(getattr(record, name) for name in names)
+    *head, last = record
+    assert (*head, last) == tuple(record)
+    assert record == kind(*record) == kind(**dict(zip(names, record)))
+    assert not record != kind(*record)
+    assert record != tuple(record) and tuple(record) != record
+    assert all(record != other(*record) for other in FIELDS
+               if other is not kind and len(FIELDS[other]) == len(names))
+    if kind is PatternStats:  # its positions are dicts, as they always were
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(kind(*record))
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
+def test_record_reprs_are_pinned():
+    base = Base(3, 2)
+    assert repr(TileRect(Fraction(1, 3), 2, Fraction(0), Fraction(2, 3), Fraction(-1, 9),
+                         Fraction(5))) == (
+        "TileRect(translate=Fraction(1, 3), digit=2, real_lo=Fraction(0, 1), "
+        "real_hi=Fraction(2, 3), fiber_lo=Fraction(-1, 9), fiber_hi=Fraction(5, 1))")
+    assert repr(ReportRow(100, 5, 1.5, -0.25, float("nan"))) == (
+        "ReportRow(N=100, s_w=5, main_term=1.5, residual=-0.25, residual_norm=nan)")
+    assert repr(PatternStats(Pattern(base, (2, 1)), 10, {0: 1, 1: 2}, {0: 3}, 3)) == (
+        "PatternStats(pattern=Pattern(base=Base(a=3, b=2), word=(2, 1)), N=10, "
+        "per_position={0: 1, 1: 2}, padded_per_position={0: 3}, total=3)")
