@@ -21,8 +21,11 @@ Israel J. Math. 168, 2008):
 A count is then whole periods times a^k plus left_k < b^k interval sizes
 summed directly, about N^(log b / log a) terms over all positions; b = 1
 costs O(log N).  The positions of a count sweep prefixes of one progression
-of q, so each leftover term is walked up the tree once, to the deepest
-position that sums it: sum_j max_(i>=j) left_i steps, not sum_k k left_k.
+of q.  The levels j <= J of the tree (b^J <= 2^10) are tabled once per base,
+so a leftover size below J is two table reads, and a term summed at J or
+above jumps to level J in one step and is walked up from there once, to the
+deepest position that sums it: sum_(j<J) left_j reads and
+sum_(j>J) max_(i>=j) left_i steps, not sum_k k left_k.
 The RATBASE_MAX_ENUM budget is charged the sweep length sum_k left_k, not N.
 A window opening with 0 has r_w < lo_{m-1}(1): its exact progression starts
 at r_w + a^m, the padded one without its first term.  count_pattern walks
@@ -41,15 +44,18 @@ under the default budget.  Only the paths that print digits build a stream
 prefix, one band of equal-length words at a time on the same T(n) tree,
 and they are charged its length.
 
-numpy is imported by the leftover walks of 32 or more terms, at any N (in
-int64 while a*N fits, Python integers beyond), and by the prefix builder,
-at their first call, so importing ratbase does not load it.
+numpy is imported by the leftover sweeps of 32 or more terms, at any N (in
+int64 while b*N + a fits, Python integers beyond), and by the prefix
+builder, at their first call, so importing ratbase does not load it; the
+tables are arrays of the standard library, which numpy reads in place.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -64,6 +70,8 @@ if TYPE_CHECKING:
 _BLOCK = 1 << 16
 _VECTOR_MIN = 32
 _INT64_MAX = (1 << 63) - 1
+_TABLE_SPAN = 1 << 10  # the tables of _low_levels stop at b^J <= this
+_TABLE_BASES = 64  # the bases whose tables are held at once
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,27 @@ def _residue(base: Base, w_lsf: Sequence[int]) -> int:
     return _horner(a, b, w_lsf[::-1]) * pow(b, -len(w_lsf), mod) % mod
 
 
+@functools.lru_cache(maxsize=_TABLE_BASES)
+def _low_levels(a: int, b: int) -> tuple[array, ...]:
+    """lo_j(r) for 0 <= r <= b^j at each level j <= J, one array('q') a level.
+
+    J is the deepest level with b^J <= _TABLE_SPAN and a^J < 2^62, so every
+    entry fits int64 and a base holds at most 2 _TABLE_SPAN + J + 1 entries
+    (about 16 KiB).  lo_j(b^j) = a^j closes each level, and
+    lo_j(q) = a^j floor(q / b^j) + lo_j(q mod b^j) for every q >= 0.
+    """
+    levels = [array("q", (0, 1))]
+    bj, aj = 1, 1
+    while bj * b <= _TABLE_SPAN and aj * a < 1 << 62:
+        # lo(lo_j(r)) over 0 <= r < b^(j+1), lo_j read off its period
+        period = levels[-1].tolist()[:-1]
+        level = [(a * (aj * m + x) + b - 1) // b for m in range(b) for x in period]
+        level.append(aj * a)
+        levels.append(array("q", level))
+        bj, aj = bj * b, aj * a
+    return tuple(levels)
+
+
 def _lo(a: int, b: int, q, k: int):
     """lo_k(q), the least n with T^k(n) >= q: q a^k when b = 1."""
     if b == 1:
@@ -126,45 +155,88 @@ def _family_sums(a: int, b: int, first: int, step: int, lefts: list[int],
                  N: int) -> list[int]:
     """List by j of sum_(t < lefts[j]) |{n : T^j(n) = q_t}|, q_t = first + step*t.
 
-    lo_(j+1) = lo(lo_j): q_t and q_t + 1 are walked up once, to the deepest
-    D with lefts[D] > t, where q_t < T^D(N); so every value kept is at most
-    N.  Sweeps under _VECTOR_MIN terms use Python integers, each term walked
-    to its own depth; longer ones use numpy blocks, each walked as deep as
-    its first term needs, of int64 while a*N fits and of Python integers
-    (dtype object) beyond.
+    The tree's low levels are tabled once per base (_low_levels, J levels):
+    below J each of the lefts[j] sizes is lo_j(r + 1) - lo_j(r) with
+    r = q_t mod b^j, two table reads.  A term summed at J or above jumps to
+    level J in one step, lo_J(q) = a^J floor(q / b^J) + lo_J(q mod b^J), and
+    is walked on from there, lo_(j+1) = lo(lo_j), to the deepest D with
+    lefts[D] > t.  So a sweep takes sum_(j<J) lefts[j] reads plus, above J,
+    one jump a term and sum_(j>J) max_(i>=j) lefts[i] steps; the budget is
+    charged sum_j lefts[j] all the same.  q_t < T^D(N), so every value kept
+    is at most N.
+
+    A level of under _VECTOR_MIN reads, or an upper walk of under
+    _VECTOR_MIN terms, runs on Python integers; longer ones run on numpy, so
+    numpy loads exactly when some lefts[j] reaches _VECTOR_MIN.  The upper
+    walk runs in blocks, each sliced to the terms the next level keeps
+    before it steps and not stepped past its last summed level: a product
+    a*x is then taken only of a kept x with ceil(a*x/b) <= N, so it is at
+    most b*N, and the blocks are int64 while b*N + a fits and Python
+    integers (dtype object) beyond.
     """
-    width = list(itertools.accumulate(lefts[::-1], max))[::-1]  # max_(i>=j) lefts[i]
+    levels = _low_levels(a, b)
+    J = len(levels) - 1
     sums = [0] * len(lefts)
+    for j, left in enumerate(lefts[:J]):
+        lo, bj = levels[j], b**j
+        if left >= _VECTOR_MIN:
+            sums[j] = _gather_sizes(lo, bj, first, step, left)
+            continue
+        total, r, s = 0, first % bj, step % bj
+        for _ in range(left):
+            total += lo[r + 1] - lo[r]
+            r = (r + s) % bj
+        sums[j] = total
+    width = list(itertools.accumulate(lefts[J:][::-1], max))[::-1]  # max_(i>=J+j) lefts[i]
+    if not width or not width[0]:
+        return sums
+    aJ, bJ, top = a**J, b**J, levels[J]
     if width[0] < _VECTOR_MIN:
         depth = len(width)
         for t in range(width[0]):
             while width[depth - 1] <= t:
                 depth -= 1
-            lo = first + step * t
-            hi = lo + 1
-            for j in range(depth):
+            d, r = divmod(first + step * t, bJ)
+            lo, hi = aJ * d + top[r], aJ * d + top[r + 1]
+            for j in range(J, J + depth):
+                if j > J:
+                    lo, hi = -(-a * lo // b), -(-a * hi // b)
                 if lefts[j] > t:
                     sums[j] += hi - lo
-                lo, hi = -(-a * lo // b), -(-a * hi // b)
         return sums
     import numpy as np
-    dtype = np.int64 if a * N <= _INT64_MAX else object
+    dtype = np.int64 if b * N + a <= _INT64_MAX else object
+    top = np.frombuffer(top, dtype=np.int64)
     for start in range(0, width[0], _BLOCK):
         stop = min(start + _BLOCK, width[0])
-        lo = np.arange(first + step * start, first + step * stop, step, dtype=dtype)
-        hi = lo + 1
-        for j, w in enumerate(width):
-            if w <= start:
+        q = np.arange(first + step * start, first + step * (stop - 1) + 1, step,
+                      dtype=dtype)
+        d = q // bJ
+        r = (q - d * bJ).astype(np.int64)  # object arrays have no divmod
+        d *= aJ
+        lo, hi = d + top[r], d + top[r + 1]
+        for i in range(len(width)):
+            if lefts[J + i] > start:
+                n = lefts[J + i] - start
+                sums[J + i] += int((hi[:n] - lo[:n]).sum())
+            keep = (width[i + 1] if i + 1 < len(width) else 0) - start
+            if keep <= 0:
                 break
-            lo, hi = lo[:w - start], hi[:w - start]
-            if lefts[j] > start:
-                n = lefts[j] - start
-                sums[j] += int((hi[:n] - lo[:n]).sum())
-            for q in (lo, hi):  # q = lo(q), in place
-                q *= -a
-                q //= b
-                np.negative(q, out=q)
+            lo, hi = lo[:keep], hi[:keep]
+            for v in (lo, hi):  # v = lo(v), in place
+                v *= -a
+                v //= b
+                np.negative(v, out=v)
     return sums
+
+
+def _gather_sizes(level: array, bj: int, first: int, step: int, left: int) -> int:
+    """sum_(t < left) lo_j(r_t + 1) - lo_j(r_t), r_t = (first + step*t) mod b^j,
+    gathered from a numpy view of level j's table."""
+    import numpy as np
+    lo = np.frombuffer(level, dtype=np.int64)
+    r = (first % bj + step % bj * np.arange(left, dtype=np.int64)) % bj
+    return int((lo[r + 1] - lo[r]).sum())
 
 
 def _progression_counts(base: Base, firsts: Sequence[int], step: int, N: int,
@@ -407,7 +479,9 @@ def asymptotic_report(base: Base, pattern: Pattern,
     """S_w against its main term N a^(-|w|) log_alpha N at several horizons.
 
     residual_norm divides the residual by N log log N (natural logs), so each
-    horizon must satisfy log log N > 0, i.e. N >= 16.
+    horizon must satisfy log log N > 0, i.e. N >= 16.  The floats of a row
+    are computed from N and S_w as floats, so a horizon where either exceeds
+    the largest float (about 1.8e308) is refused once it is counted.
     """
     rows = []
     log_alpha = math.log(base.a) - math.log(base.b)
@@ -415,10 +489,14 @@ def asymptotic_report(base: Base, pattern: Pattern,
         if N < 16:
             raise ValueError("horizons must be >= 16 so that log log N > 0")
         s_w = count_pattern(base, pattern, N).total
-        main = N * base.a ** (-len(pattern)) * math.log(N) / log_alpha
-        residual = s_w - main
-        rows.append(ReportRow(N, s_w, main, residual,
-                              residual / (N * math.log(math.log(N)))))
+        try:
+            main = N * base.a ** (-len(pattern)) * math.log(N) / log_alpha
+            residual = s_w - main
+            norm = residual / (N * math.log(math.log(N)))
+        except OverflowError:
+            raise ValueError("horizons must keep N and S_w below about 1.8e308, "
+                             "the largest float") from None
+        rows.append(ReportRow(N, s_w, main, residual, norm))
     return rows
 
 

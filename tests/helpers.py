@@ -750,3 +750,28 @@ def patterns_record_ref(base: Base, pattern, stats) -> str:
         "padded_per_position": {str(k): v
                                 for k, v in stats.padded_per_position.items()},
     }, indent=2) + "\n"
+
+
+def lo_ref(a: int, b: int, q: int, k: int) -> int:
+    """lo_k(q), the least n with T^k(n) >= q: k ceiling divisions ceil(a q / b)."""
+    for _ in range(k):
+        q = -(-a * q // b)
+    return q
+
+
+def family_sums_ref(a: int, b: int, first: int, step: int, lefts) -> list[int]:
+    """By level j, sum_(t < lefts[j]) |{n : T^j(n) = q_t}| with q_t = first + step*t:
+    each term and its successor walked up from level 0, one ceiling division
+    a level, as far as the deepest level that sums it."""
+    sums = [0] * len(lefts)
+    depth = len(lefts)
+    for t in range(max(lefts, default=0)):
+        while lefts[depth - 1] <= t:
+            depth -= 1
+        lo = first + step * t
+        hi = lo + 1
+        for j in range(depth):
+            if lefts[j] > t:
+                sums[j] += hi - lo
+            lo, hi = -(-a * lo // b), -(-a * hi // b)
+    return sums

@@ -111,6 +111,25 @@ class TestPatternsCommand:
         recs = json.loads(r.stdout)
         assert [x["N"] for x in recs] == [100, 1000]
 
+    def test_report_past_the_largest_float_is_a_usage_error(self):
+        # N = 1e400 is no float, and at N = 1e308 S_w is none
+        for horizon in ("1e400", "1e308"):
+            r = run_cli("patterns", "--a", "10", "--b", "1", "--w", "7",
+                        "--horizons", horizon)
+            assert r.returncode == 64
+            assert r.stdout == ""
+            assert r.stderr.splitlines()[-1] == (
+                "ratbase: error: horizons must keep N and S_w below about "
+                "1.8e308, the largest float")
+
+    def test_report_below_the_largest_float_is_unchanged(self):
+        r = run_cli("patterns", "--a", "10", "--b", "1", "--w", "7", "--horizons", "1e300")
+        assert r.returncode == 0
+        assert r.stdout == (
+            "N,S_w,main_term,residual,residual_norm\n"
+            f"{10**300},{3 * 10**301},2.9999999999999996e+301,"
+            "4.758454107128906e+285,7.278355483331216e-16\n")
+
     def test_scale_guard_exit_code(self):
         r = run_cli("patterns", *BASE32, "--w", "2", "--N", "1e9",
                     env_extra={"RATBASE_MAX_ENUM": "1000"})

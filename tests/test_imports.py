@@ -16,7 +16,7 @@ import pytest
 
 from ratbase import Base
 from ratbase.cli import main
-from helpers import stream_prefix
+from helpers import scan_count, stream_prefix
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ratbase"
 
@@ -225,6 +225,21 @@ def test_long_sweeps_and_the_prefix_builder_load_numpy():
         "          'digits': champernowne_digits(b32, 1000)}")
     assert got == {"total": 56670352, "digits": stream_prefix(Base(3, 2), 1000),
                    "numpy": True}
+
+
+def test_short_sweeps_read_the_tables_without_numpy():
+    # every leftover of this count is under 32 terms; its levels 0-9 are
+    # read from the tables, which are arrays of the standard library
+    got = run_fresh(
+        "import json\n"
+        "from ratbase import Base, Pattern, count_pattern\n"
+        "from ratbase import patterns\n"
+        "b32 = Base(3, 2)\n"
+        "result = {'total': count_pattern(b32, Pattern(b32, (1, 0, 2)), 2000).total,\n"
+        "          'tabled': patterns._low_levels.cache_info().currsize}")
+    assert got == {"total": sum(scan_count(Base(3, 2), (1, 0, 2), k, 2000)
+                                for k in range(20)),
+                   "tabled": 1, "numpy": False}
 
 
 def test_negative_prefix_length_is_refused_before_numpy():

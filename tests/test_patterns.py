@@ -34,10 +34,10 @@ from ratbase import (
 )
 from ratbase import patterns
 from ratbase.patterns import _progression_counts, _residue, _value
-from helpers import (BASES, ORACLE_BASES, first_with_length, low_digit_classes,
-                     residue_class_count, scan_count, stream_offset, stream_prefix,
-                     stream_scan, stream_scan_bulk, stream_window, stream_word_ends,
-                     word_digits)
+from helpers import (BASES, ORACLE_BASES, family_sums_ref, first_with_length,
+                     lo_ref, low_digit_classes, residue_class_count, scan_count,
+                     stream_offset, stream_prefix, stream_scan, stream_scan_bulk,
+                     stream_window, stream_word_ends, word_digits)
 
 KERNEL_BASES = [Base(3, 2), Base(5, 2), Base(10, 1)]
 ENGINE_BASES = BASES + [Base(7, 6)]
@@ -253,6 +253,22 @@ class TestBeyondInt64:
         assert 31 * N > 2**63
         assert summatory_sod(b312, N) == 222888982492998334087
 
+    # N at the int64 switch, b*N + a <= 2^63 - 1, and at 2^63 - 1 past it;
+    # frozen from a walk of every block on Python integers (dtype object)
+    @pytest.mark.parametrize("N,sod", [
+        (((1 << 63) - 1 - 31) // 2, 1059742841394400321766),
+        ((1 << 63) - 1, 2182947104969561745884)])
+    def test_summatory_sod_at_the_int64_switch_31_2(self, N, sod):
+        assert summatory_sod(Base(31, 2), N) == sod
+
+    @pytest.mark.parametrize("N,total", [
+        (((1 << 63) - 1 - 11) // 2, 10712530924483277203),
+        ((1 << 63) - 1, 20780319336892478475)])
+    def test_counts_at_the_int64_switch_11_2(self, N, total):
+        b112 = Base(11, 2)
+        stats = count_pattern(b112, Pattern(b112, (1,)), N)
+        assert stats.total == sum(stats.padded_per_position.values()) == total
+
     def test_budget_charges_the_sweep_not_n(self, b32, monkeypatch):
         monkeypatch.setenv("RATBASE_MAX_ENUM", str(10**6))
         N = 10**9
@@ -272,6 +288,72 @@ class TestBeyondInt64:
         monkeypatch.setenv("RATBASE_MAX_ENUM", str(2 * 10**5))
         with pytest.raises(ScaleExceeded):
             count_pattern(b32, Pattern(b32, (2,)), 10**1200)
+
+
+def _recorded_sweeps(monkeypatch, count):
+    """The (arguments, result) of every _family_sums call that count() makes."""
+    calls, family_sums = [], patterns._family_sums
+
+    def recording(*args):
+        calls.append((args, family_sums(*args)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(patterns, "_family_sums", recording)
+        count()
+    return calls
+
+
+TABLE_BASES = [base for base in ORACLE_BASES if base.b > 1]
+
+
+class TestLowLevelTables:
+    """The tables of the tree's low levels, and the sweeps that read them and
+    jump past them, against plain walks of one level at a time."""
+
+    @pytest.mark.parametrize("base", TABLE_BASES, ids=str)
+    def test_every_entry_against_a_plain_walk(self, base):
+        a, b = base.a, base.b
+        levels = patterns._low_levels(a, b)
+        J = len(levels) - 1
+        # J is the deepest level whose b^J and a^J the tables allow
+        assert b**J <= patterns._TABLE_SPAN and a**J < 2**62
+        assert b ** (J + 1) > patterns._TABLE_SPAN or a ** (J + 1) >= 2**62
+        for j, level in enumerate(levels):
+            assert level.typecode == "q"
+            assert list(level) == [lo_ref(a, b, r, j) for r in range(b**j + 1)], j
+            assert level[b**j] == a**j
+
+    @pytest.mark.parametrize("base", TABLE_BASES, ids=str)
+    def test_sweeps_around_the_tabled_depth(self, base, monkeypatch):
+        # the counts of N with J - 1, J and J + 1 positions, first and last N
+        J = len(patterns._low_levels(base.a, base.b)) - 1
+        Ns = {N for L in range(max(J - 2, 1), J + 1)
+              for N in (first_with_length(base, L), first_with_length(base, L + 1) - 1)}
+        rng = random.Random(41)
+        Ns |= {rng.randrange(1, 3001) for _ in range(12)}
+        Ns |= {10**6 + 3}
+        words = [(d,) for d in range(base.a)] + [(base.a - 1, 1), (0, 0), (1, 0)]
+        swept = 0
+        for N in sorted(Ns):
+            for w in words:
+                for args, sums in _recorded_sweeps(
+                        monkeypatch, lambda: count_pattern(base, Pattern(base, w), N)):
+                    assert sums == family_sums_ref(*args[:5]), (N, w, args)
+                    swept += 1
+        assert swept
+
+    @pytest.mark.parametrize("a,b,N,w", [
+        (3, 2, 10**7, (1,)), (7, 4, 10**7, (0, 0)), (7, 6, 10**6, (5,)),
+        # past the old switch at a*N, and past the new one at b*N + a
+        (11, 2, ((1 << 63) - 1) // 11 + 1, (1,)),
+        (11, 2, ((1 << 63) - 1 - 11) // 2 + 1, (1,))])
+    def test_long_sweeps_against_a_plain_walk(self, a, b, N, w, monkeypatch):
+        base = Base(a, b)
+        calls = _recorded_sweeps(monkeypatch, lambda: count_pattern(base, Pattern(base, w), N))
+        assert max(max(args[4]) for args, _ in calls) >= patterns._VECTOR_MIN
+        for args, sums in calls:
+            assert sums == family_sums_ref(*args[:5])
 
 
 # horizons for the residue-class oracle, from n = 0 to far past int64
