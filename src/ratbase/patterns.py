@@ -232,7 +232,15 @@ def _family_sums(a: int, b: int, first: int, step: int, lefts: list[int],
 
 def _gather_sizes(level: array, bj: int, first: int, step: int, left: int) -> int:
     """sum_(t < left) lo_j(r_t + 1) - lo_j(r_t), r_t = (first + step*t) mod b^j,
-    gathered from a numpy view of level j's table."""
+    gathered from a numpy view of level j's table.
+
+    Against the Python read loop on a 2-vCPU Xeon VM (Python 3.11, numpy
+    2.4), at 3/2, 5/3, 7/2 and 11/2: 5.5 against 3.5-4.6 us at 32 reads,
+    even between 48 and 64, 6.3 against 13-18 us at 128, and 10-16 against
+    66-80 us at 511, the most a b = 2 table allows.  It starts at
+    _VECTOR_MIN all the same, not at 64, so that numpy loads by one rule;
+    that costs at most about 2 us a level.
+    """
     import numpy as np
     lo = np.frombuffer(level, dtype=np.int64)
     r = (first % bj + step % bj * np.arange(left, dtype=np.int64)) % bj
@@ -480,8 +488,9 @@ def asymptotic_report(base: Base, pattern: Pattern,
 
     residual_norm divides the residual by N log log N (natural logs), so each
     horizon must satisfy log log N > 0, i.e. N >= 16.  The floats of a row
-    are computed from N and S_w as floats, so a horizon where either exceeds
-    the largest float (about 1.8e308) is refused once it is counted.
+    are computed from N and S_w as floats, so a horizon where any of them,
+    or a product on the way, exceeds the largest float (about 1.8e308) is
+    refused once it is counted.
     """
     rows = []
     log_alpha = math.log(base.a) - math.log(base.b)
@@ -492,11 +501,14 @@ def asymptotic_report(base: Base, pattern: Pattern,
         try:
             main = N * base.a ** (-len(pattern)) * math.log(N) / log_alpha
             residual = s_w - main
-            norm = residual / (N * math.log(math.log(N)))
-        except OverflowError:
-            raise ValueError("horizons must keep N and S_w below about 1.8e308, "
-                             "the largest float") from None
-        rows.append(ReportRow(N, s_w, main, residual, norm))
+            scale = N * math.log(math.log(N))
+            finite = all(map(math.isfinite, (main, residual, scale)))
+        except OverflowError:  # N or S_w is no float; a float product gives inf
+            finite = False
+        if not finite:
+            raise ValueError("horizons must keep the report's floats below about "
+                             "1.8e308, the largest float")
+        rows.append(ReportRow(N, s_w, main, residual, residual / scale))
     return rows
 
 

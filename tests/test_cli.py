@@ -111,16 +111,18 @@ class TestPatternsCommand:
         recs = json.loads(r.stdout)
         assert [x["N"] for x in recs] == [100, 1000]
 
-    def test_report_past_the_largest_float_is_a_usage_error(self):
-        # N = 1e400 is no float, and at N = 1e308 S_w is none
-        for horizon in ("1e400", "1e308"):
-            r = run_cli("patterns", "--a", "10", "--b", "1", "--w", "7",
-                        "--horizons", horizon)
-            assert r.returncode == 64
-            assert r.stdout == ""
-            assert r.stderr.splitlines()[-1] == (
-                "ratbase: error: horizons must keep N and S_w below about "
-                "1.8e308, the largest float")
+    @pytest.mark.parametrize("w,horizon", [
+        ("7", "1e400"),  # N is no float
+        ("7", "1e308"),  # S_w is none
+        ("7", "5e306"),  # N and S_w are, but N a^-|w| log N is inf
+        ("7777777", "1e308")])  # the main term is, but N log log N is inf
+    def test_report_past_the_largest_float_is_a_usage_error(self, w, horizon):
+        r = run_cli("patterns", "--a", "10", "--b", "1", "--w", w, "--horizons", horizon)
+        assert r.returncode == 64
+        assert r.stdout == ""
+        assert r.stderr.splitlines()[-1] == (
+            "ratbase: error: horizons must keep the report's floats below about "
+            "1.8e308, the largest float")
 
     def test_report_below_the_largest_float_is_unchanged(self):
         r = run_cli("patterns", "--a", "10", "--b", "1", "--w", "7", "--horizons", "1e300")
