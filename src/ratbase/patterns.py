@@ -22,9 +22,10 @@ A count is then whole periods times a^k plus left_k < b^k interval sizes
 summed directly, about N^(log b / log a) terms over all positions; b = 1
 costs O(log N).  The positions of a count sweep prefixes of one progression
 of q.  The levels j <= J of the tree (b^J <= 2^10) are tabled once per base,
-so a leftover size below J is two table reads, and a term summed at J or
-above jumps to level J in one step and is walked up from there once, to the
-deepest position that sums it: sum_(j<J) left_j reads and
+and below J once per step too, as prefix sums of the sizes in the order the
+progression meets them, so a leftover below J is two reads a level; a term
+summed at J or above jumps to level J in one step and is walked up from
+there once, to the deepest position that sums it:
 sum_(j>J) max_(i>=j) left_i steps, not sum_k k left_k.
 The RATBASE_MAX_ENUM budget is charged the sweep length sum_k left_k, not N.
 A window opening with 0 has r_w < lo_{m-1}(1): its exact progression starts
@@ -44,10 +45,10 @@ under the default budget.  Only the paths that print digits build a stream
 prefix, one band of equal-length words at a time on the same T(n) tree,
 and they are charged its length.
 
-numpy is imported by the leftover sweeps of 32 or more terms, at any N (in
-int64 while b*N + a fits, Python integers beyond), and by the prefix
-builder, at their first call, so importing ratbase does not load it; the
-tables are arrays of the standard library, which numpy reads in place.
+numpy is imported by the walks above the tables of 32 or more terms, at
+any N (in int64 while b*N + a fits, Python integers beyond), and by the
+prefix builder, at their first call, so importing ratbase does not load it;
+the tables are arrays of the standard library, which numpy reads in place.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ _BLOCK = 1 << 16
 _VECTOR_MIN = 32
 _INT64_MAX = (1 << 63) - 1
 _TABLE_SPAN = 1 << 10  # the tables of _low_levels stop at b^J <= this
-_TABLE_BASES = 64  # the bases whose tables are held at once
+_TABLE_BASES = 64  # the tables held at once: a base's lo tables, or one step's
 
 
 @dataclass(frozen=True)
@@ -122,14 +123,26 @@ def _residue(base: Base, w_lsf: Sequence[int]) -> int:
 
 
 @functools.lru_cache(maxsize=_TABLE_BASES)
-def _low_levels(a: int, b: int) -> tuple[array, ...]:
-    """lo_j(r) for 0 <= r <= b^j at each level j <= J, one array('q') a level.
+def _low_levels(a: int, b: int, s: int) -> tuple[array, ...]:
+    """P_j(i) = sum_(t < i) size_j(s t mod b^j) for 0 <= i <= b^j, one
+    array('q') a level, size_j(r) = lo_j(r + 1) - lo_j(r).
 
-    J is the deepest level with b^J <= _TABLE_SPAN and a^J < 2^62, so every
-    entry fits int64 and a base holds at most 2 _TABLE_SPAN + J + 1 entries
-    (about 16 KiB).  lo_j(b^j) = a^j closes each level, and
-    lo_j(q) = a^j floor(q / b^j) + lo_j(q mod b^j) for every q >= 0.
+    s = 1 gives P_j = lo_j at each level j <= J, the deepest with
+    b^J <= _TABLE_SPAN and a^J < 2^62, so every entry fits int64: at most
+    2 _TABLE_SPAN + J + 1 entries (16 KiB).  Any other s, prime to b and
+    reduced mod b^J, permutes each level's sizes; its levels j < J are built
+    from those of s = 1, at most _TABLE_SPAN + J entries (8 KiB, built in
+    about 0.2 ms when b = 2).  Every b^j steps sum to a^j, so P_j(b^j) = a^j
+    and P_j(i) = a^j floor(i / b^j) + P_j(i mod b^j) for every i >= 0.
     """
+    if s != 1:
+        tables = []
+        for lo in _low_levels(a, b, 1)[:-1]:
+            bj = len(lo) - 1
+            sizes = [y - x for x, y in zip(lo, lo[1:])]
+            steps = [sizes[x % bj] for x in range(0, s * bj, s)]  # s t mod b^j
+            tables.append(array("q", itertools.accumulate(steps, initial=0)))
+        return tuple(tables)
     levels = [array("q", (0, 1))]
     bj, aj = 1, 1
     while bj * b <= _TABLE_SPAN and aj * a < 1 << 62:
@@ -155,42 +168,42 @@ def _family_sums(a: int, b: int, first: int, step: int, lefts: list[int],
                  N: int) -> list[int]:
     """List by j of sum_(t < lefts[j]) |{n : T^j(n) = q_t}|, q_t = first + step*t.
 
-    The tree's low levels are tabled once per base (_low_levels, J levels):
-    below J each of the lefts[j] sizes is lo_j(r + 1) - lo_j(r) with
-    r = q_t mod b^j, two table reads.  A term summed at J or above jumps to
-    level J in one step, lo_J(q) = a^J floor(q / b^J) + lo_J(q mod b^J), and
-    is walked on from there, lo_(j+1) = lo(lo_j), to the deepest D with
-    lefts[D] > t.  So a sweep takes sum_(j<J) lefts[j] reads plus, above J,
+    The tree's low levels are tabled once per base and step (_low_levels).
+    step is a power of a, so prime to b, and q_t = step (i0 + t) mod b^j with
+    i0 = first step^(-1): below J level j's lefts[j] < b^j sizes are a run of
+    its table, a^j w + P_j(i1) - P_j(i0) with i0 + lefts[j] = w b^j + i1
+    (i0 mod b^j), two reads.  A term summed at J or above jumps to level J
+    in one step, lo_J(q) = a^J floor(q / b^J) + lo_J(q mod b^J), and is
+    walked on from there, lo_(j+1) = lo(lo_j), to the deepest D with
+    lefts[D] > t.  So a sweep takes two reads a level below J plus, above J,
     one jump a term and sum_(j>J) max_(i>=j) lefts[i] steps; the budget is
     charged sum_j lefts[j] all the same.  q_t < T^D(N), so every value kept
     is at most N.
 
-    A level of under _VECTOR_MIN reads, or an upper walk of under
-    _VECTOR_MIN terms, runs on Python integers; longer ones run on numpy, so
-    numpy loads exactly when some lefts[j] reaches _VECTOR_MIN.  The upper
-    walk runs in blocks, each sliced to the terms the next level keeps
-    before it steps and not stepped past its last summed level: a product
-    a*x is then taken only of a kept x with ceil(a*x/b) <= N, so it is at
-    most b*N, and the blocks are int64 while b*N + a fits and Python
-    integers (dtype object) beyond.
+    An upper walk of under _VECTOR_MIN terms runs on Python integers; a
+    longer one runs on numpy, so numpy loads exactly when the walk above J
+    reaches _VECTOR_MIN terms.  It runs in blocks, each sliced to the terms
+    the next level keeps before it steps and not stepped past its last
+    summed level: a product a*x is then taken only of a kept x with
+    ceil(a*x/b) <= N, so it is at most b*N, and the blocks are int64 while
+    b*N + a fits and Python integers (dtype object) beyond.
     """
-    levels = _low_levels(a, b)
+    levels = _low_levels(a, b, 1)
     J = len(levels) - 1
+    bJ, s = b**J, step % b**J
+    tables = _low_levels(a, b, s) if s > 1 else levels
+    i0 = first * pow(step, -1, bJ) % bJ  # q_0 = step i0 mod b^J
     sums = [0] * len(lefts)
+    aj = bj = 1
     for j, left in enumerate(lefts[:J]):
-        lo, bj = levels[j], b**j
-        if left >= _VECTOR_MIN:
-            sums[j] = _gather_sizes(lo, bj, first, step, left)
-            continue
-        total, r, s = 0, first % bj, step % bj
-        for _ in range(left):
-            total += lo[r + 1] - lo[r]
-            r = (r + s) % bj
-        sums[j] = total
+        prefix, i = tables[j], i0 % bj
+        w, i1 = divmod(i + left, bj)
+        sums[j] = aj * w + prefix[i1] - prefix[i]
+        aj, bj = aj * a, bj * b
     width = list(itertools.accumulate(lefts[J:][::-1], max))[::-1]  # max_(i>=J+j) lefts[i]
     if not width or not width[0]:
         return sums
-    aJ, bJ, top = a**J, b**J, levels[J]
+    aJ, top = a**J, levels[J]
     if width[0] < _VECTOR_MIN:
         depth = len(width)
         for t in range(width[0]):
@@ -228,23 +241,6 @@ def _family_sums(a: int, b: int, first: int, step: int, lefts: list[int],
                 v //= b
                 np.negative(v, out=v)
     return sums
-
-
-def _gather_sizes(level: array, bj: int, first: int, step: int, left: int) -> int:
-    """sum_(t < left) lo_j(r_t + 1) - lo_j(r_t), r_t = (first + step*t) mod b^j,
-    gathered from a numpy view of level j's table.
-
-    Against the Python read loop on a 2-vCPU Xeon VM (Python 3.11, numpy
-    2.4), at 3/2, 5/3, 7/2 and 11/2: 5.5 against 3.5-4.6 us at 32 reads,
-    even between 48 and 64, 6.3 against 13-18 us at 128, and 10-16 against
-    66-80 us at 511, the most a b = 2 table allows.  It starts at
-    _VECTOR_MIN all the same, not at 64, so that numpy loads by one rule;
-    that costs at most about 2 us a level.
-    """
-    import numpy as np
-    lo = np.frombuffer(level, dtype=np.int64)
-    r = (first % bj + step % bj * np.arange(left, dtype=np.int64)) % bj
-    return int((lo[r + 1] - lo[r]).sum())
 
 
 def _progression_counts(base: Base, firsts: Sequence[int], step: int, N: int,

@@ -55,18 +55,23 @@ class Outcome(NamedTuple):
 PATTERNS = "tests/test_patterns.py"
 
 MUTANTS = (
-    Mutant("table-level-off",
-           "lo, bj = levels[j], b**j", "lo, bj = levels[j + 1], b**j",
+    Mutant("step-read-no-wrap",
+           "sums[j] = aj * w + prefix[i1] - prefix[i]", "sums[j] = prefix[i1] - prefix[i]",
            (f"{PATTERNS}::TestLowLevelTables",),
-           "the levels below J read the next level's table"),
-    Mutant("table-read-r-for-r+1",
-           "total += lo[r + 1] - lo[r]", "total += lo[r] - lo[r]",
+           "a leftover that wraps past the end of its level's table drops a^j"),
+    Mutant("step-start-no-inverse",
+           "i0 = first * pow(step, -1, bJ) % bJ", "i0 = first % bJ",
            (f"{PATTERNS}::TestLowLevelTables",),
-           "a short level's sizes read lo_j(r) for lo_j(r + 1)"),
-    Mutant("gather-read-r-for-r+1",
-           "return int((lo[r + 1] - lo[r]).sum())", "return int((lo[r] - lo[r]).sum())",
+           "the run of a step table starts at first, not at first step^(-1)"),
+    Mutant("step-table-natural-order",
+           "steps = [sizes[x % bj] for x in range(0, s * bj, s)]",
+           "steps = [sizes[x % bj] for x in range(bj)]",
            (f"{PATTERNS}::TestLowLevelTables",),
-           "a long level's gathered sizes read lo_j(r) for lo_j(r + 1)"),
+           "a step table sums the sizes in natural order, as for step 1"),
+    Mutant("step-read-scale",
+           "aj, bj = aj * a, bj * b", "aj, bj = aj * b, bj * b",
+           (f"{PATTERNS}::TestLowLevelTables",),
+           "a wrapping leftover adds b^j, not a^j"),
     Mutant("jump-read-r-for-r+1",
            "lo, hi = aJ * d + top[r], aJ * d + top[r + 1]",
            "lo, hi = aJ * d + top[r], aJ * d + top[r]",
@@ -84,6 +89,10 @@ MUTANTS = (
            "for j, left in enumerate(lefts[:J]):", "for j, left in enumerate(lefts[:J - 1]):",
            (f"{PATTERNS}::TestLowLevelTables",),
            "level J - 1 is neither read nor walked"),
+    Mutant("integer-base-walks",
+           "    if b == 1:\n        return q * a**k\n", "",
+           (f"{PATTERNS}::test_counts_step_by_the_word_of_n[2/1-w01-N1e2400]",),
+           "an integer base takes k products for lo_k(q), not one: the 2 s alarm rings"),
     Mutant("int64-switch-from-n",
            "dtype = np.int64 if b * N + a <= _INT64_MAX else object",
            "dtype = np.int64 if N <= _INT64_MAX else object",
@@ -131,7 +140,7 @@ EQUIVALENT = (
            "a shallower table leaves more levels to the walk, which gives the same sizes"),
     Mutant("table-bases",
            "_TABLE_BASES = 64", "_TABLE_BASES = 1", (PATTERNS,),
-           "holding fewer bases' tables only rebuilds them"),
+           "holding fewer tables only rebuilds them"),
     Mutant("products-not-sliced",
            "            lo, hi = lo[:keep], hi[:keep]\n", "",
            (PATTERNS,),

@@ -229,7 +229,8 @@ def test_long_sweeps_and_the_prefix_builder_load_numpy():
 
 def test_short_sweeps_read_the_tables_without_numpy():
     # every leftover of this count is under 32 terms; its levels 0-9 are
-    # read from the tables, which are arrays of the standard library
+    # read from the tables, which are arrays of the standard library: the
+    # lo tables of 3/2 and its tables in steps of 3^3
     got = run_fresh(
         "import json\n"
         "from ratbase import Base, Pattern, count_pattern\n"
@@ -239,7 +240,20 @@ def test_short_sweeps_read_the_tables_without_numpy():
         "          'tabled': patterns._low_levels.cache_info().currsize}")
     assert got == {"total": sum(scan_count(Base(3, 2), (1, 0, 2), k, 2000)
                                 for k in range(20)),
-                   "tabled": 1, "numpy": False}
+                   "tabled": 2, "numpy": False}
+
+
+def test_long_leftovers_below_the_tables_leave_numpy_unloaded():
+    # levels 7 and 8 of this count have 56 and 37 leftover terms, each
+    # level summed in two reads; the walk above the tables has 16
+    got = run_fresh(
+        "import json\n"
+        "from ratbase import Base, Pattern, count_pattern\n"
+        "b32 = Base(3, 2)\n"
+        "result = {'total': count_pattern(b32, Pattern(b32, (1,)), 2900).total}")
+    assert got == {"total": sum(scan_count(Base(3, 2), (1,), k, 2900)
+                                for k in range(20)),
+                   "numpy": False}
 
 
 def test_negative_prefix_length_is_refused_before_numpy():

@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import random
-import time
+import signal
 import tracemalloc
 from fractions import Fraction
 
@@ -304,17 +304,19 @@ def _recorded_sweeps(monkeypatch, count):
     return calls
 
 
-TABLE_BASES = [base for base in ORACLE_BASES if base.b > 1]
+# at 1025/2, J = 6 and a = 1 mod 2^6, so its step tables are its lo tables
+TABLE_BASES = [base for base in ORACLE_BASES if base.b > 1] + [Base(1025, 2)]
 
 
 class TestLowLevelTables:
-    """The tables of the tree's low levels, and the sweeps that read them and
-    jump past them, against plain walks of one level at a time."""
+    """The tables of the tree's low levels, in natural and in step order, and
+    the sweeps that read them and jump past them, against plain walks of one
+    level at a time."""
 
     @pytest.mark.parametrize("base", TABLE_BASES, ids=str)
     def test_every_entry_against_a_plain_walk(self, base):
         a, b = base.a, base.b
-        levels = patterns._low_levels(a, b)
+        levels = patterns._low_levels(a, b, 1)
         J = len(levels) - 1
         # J is the deepest level whose b^J and a^J the tables allow
         assert b**J <= patterns._TABLE_SPAN and a**J < 2**62
@@ -325,9 +327,26 @@ class TestLowLevelTables:
             assert level[b**j] == a**j
 
     @pytest.mark.parametrize("base", TABLE_BASES, ids=str)
+    def test_step_tables_against_a_plain_walk(self, base):
+        # the steps a^m of windows of 1, 2 and 3 digits; a step = 1 mod b^J
+        # reads the lo tables, which it orders as they are
+        a, b = base.a, base.b
+        J = len(patterns._low_levels(a, b, 1)) - 1
+        for step in (a, a**2, a**3):
+            tables = patterns._low_levels(a, b, step % b**J)[:J]
+            assert len(tables) == J
+            for j, table in enumerate(tables):
+                bj = b**j
+                sizes = [lo_ref(a, b, step * t % bj + 1, j) - lo_ref(a, b, step * t % bj, j)
+                         for t in range(bj)]
+                assert table.typecode == "q"
+                assert list(table) == list(itertools.accumulate(sizes, initial=0)), (step, j)
+                assert table[bj] == a**j
+
+    @pytest.mark.parametrize("base", TABLE_BASES, ids=str)
     def test_sweeps_around_the_tabled_depth(self, base, monkeypatch):
         # the counts of N with J - 1, J and J + 1 positions, first and last N
-        J = len(patterns._low_levels(base.a, base.b)) - 1
+        J = len(patterns._low_levels(base.a, base.b, 1)) - 1
         Ns = {N for L in range(max(J - 2, 1), J + 1)
               for N in (first_with_length(base, L), first_with_length(base, L + 1) - 1)}
         rng = random.Random(41)
@@ -821,15 +840,25 @@ def _check_steps(base: Base, pattern: Pattern, N: int, refused: bool) -> None:
         assert summatory_sod(base, N) - summatory_sod(base, N - 1) == sum_of_digits(base, N)
 
 
+def _ring(signum, frame):
+    raise TimeoutError("the counts ran longer than 2 s")
+
+
 @pytest.mark.parametrize("a, b, w, N, refused", CONSECUTIVE,
                          ids=[f"{a}/{b}-w{w}-N{_horizon_id(N)}"
                               for a, b, w, N, _ in CONSECUTIVE])
 def test_counts_step_by_the_word_of_n(a, b, w, N, refused, monkeypatch):
     monkeypatch.delenv("RATBASE_MAX_ENUM", raising=False)
     base = Base(a, b)
-    start = time.perf_counter()
-    _check_steps(base, Pattern.parse(base, w), N, refused)
-    assert time.perf_counter() - start < 2.0
+    # the alarm stops a count that stalls, so the test fails after 2 s, not
+    # when the count returns
+    previous = signal.signal(signal.SIGALRM, _ring)
+    signal.alarm(2)
+    try:
+        _check_steps(base, Pattern.parse(base, w), N, refused)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # the first n of each word length: N = f_L - 1, f_L and f_L + 1 in turn, where
