@@ -645,7 +645,8 @@ def fiber_coordinate(ctx: AdeleContext, x, depth: int = 32,
     Under alpha-digits, x = sum_{j>=0} d_j alpha^(-j) with d_j in {0..b-1}
     is drawn at sum d_j b^(-j) (truncated at `depth`); inputs divisible by b
     land in [0, 1].  Under p-adic-digits the base-b expansion of x is read
-    as the b-ary real 0.d_0 d_1 ... in [0, 1).
+    as the b-ary real 0.d_0 d_1 ... in [0, 1).  Charged `depth` digits to
+    the budget.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -655,6 +656,7 @@ def fiber_coordinate(ctx: AdeleContext, x, depth: int = 32,
     for p, _ in ctx.primes:
         if x != 0 and _vp(p, x) < 0:
             raise NotIntegral(f"{x} is not integral at p = {p}")
+    _check_budget(depth)  # the expansion takes about depth^2 steps
     num, n = _fiber_numerator(ctx, x, depth, scheme)
     return Fraction(num, ctx.base.b**n)
 

@@ -152,6 +152,11 @@ def cmd_tiles(args) -> tuple[str, int]:
 def cmd_fourier(args) -> tuple[str, int]:
     base = _base_of(args)
     ctx = AdeleContext(base)
+    if args.d is None:
+        # coefficient_table charges the same amount, but only once it holds
+        # the list of all a digits
+        _level(ctx, args.r)
+        _check_budget(_fill_charge(base.a, args.r, base.a * (args.max_xi + 1)))
     digits = [args.d] if args.d is not None else list(range(base.a))
     return coefficient_table(ctx, digits, args.r, args.max_xi), EXIT_OK
 

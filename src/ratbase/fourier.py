@@ -31,10 +31,10 @@ Fraction is the type of the exact results.
 
 The product of the level sums sum_{e<a} e(-e c_k / a^k), c_k = w b^k mod
 a^k, over k = 2..K depends on (a, b, a^K, w mod a^K) only.  Those with
-a^K <= 2^12 are kept for the life of the process in one table that
-coeff_f, the tables and the series all read, filled as calls first ask:
-at most a^K - a per base pair.  A product is the same expression whether
-it is computed or read, so every value is bit-identical either way.
+a^K <= 2^12 are kept in one lru_cache of at most 2^15 products that
+coeff_f, the tables and the series all read, filled as calls first ask.
+A product is the same expression whether it is computed, read or computed
+again after an eviction, so every value is bit-identical either way.
 
 A series at a point whose character has denominator Q <= its nonzero terms
 sums them by residue rho = m mod Q, whose terms share one root of unity:
@@ -45,6 +45,7 @@ Q and kept with the list, so a call that finds them held costs O(Q).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -131,7 +132,9 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
     t_k = (-m b^(k-r) mod a^k) / a^k, so a call costs O(r a) integer steps.
     The coefficient is exactly zero iff r = 0 or a | m: then either osc is
     an integer or, at the level k with a^(k-1) || m, e(-t_k) is a
-    nontrivial a-th root of unity.
+    nontrivial a-th root of unity.  A coefficient that sums levels above
+    the shared table is charged their a exponentials each to the budget;
+    one that sums none reads no budget.
     """
     if type(xi) is not Fraction:
         xi = Fraction(xi)
@@ -143,6 +146,8 @@ def coeff_f(ctx: AdeleContext, d: int, r: int, xi) -> FourierCoefficient:
     if m is None or m % a == 0:
         q = Fraction(1, a) if xi == 0 else Fraction(0)
         return tuple.__new__(FourierCoefficient, (xi, complex(q), q))
+    if ar > _TABLE_TOP and r > 1:  # levels above the table, each summed anew
+        _check_budget(_untabled_charge(a, r))
     w = -m * pow(b, -r, ar) % ar
     value = _closed_form(m, ar, -d * w * b % a, a, _level_factor(a, b, ar, br, w))
     return tuple.__new__(FourierCoefficient, (xi, value, None))
@@ -153,12 +158,13 @@ def _level_sum(a: int, ak: int, c: int) -> complex:
     return sum([cmath.exp(_NEG_TWO_PI_J * ((e * c % ak) / ak)) for e in range(a)])
 
 
-# The level factor of every level r with a^r <= _TABLE_TOP, by (a, b, a^r,
-# w mod a^r), since c_k depends on w mod a^k only; shared by all calls and
-# filled as they ask.  a never divides w, so a base pair keeps at most
-# a^K - a factors, a^K its largest tabled power: 2184 at 3/2, 4094 at a = 2.
+# The level factor of every level r with a < a^r <= _TABLE_TOP, by (a, b,
+# a^r, b^r, w mod a^r), since c_k depends on w mod a^k only: shared by all
+# calls, filled as they ask, at most _TABLE_FACTORS of them (about 8.6 MiB),
+# the least recently used dropped first.  A base pair has at most a^K - a,
+# a^K its largest tabled power (a never divides w): 2184 at 3/2, 4094 at a = 2.
 _TABLE_TOP = 1 << 12
-_prefixes: dict[tuple[int, int, int, int], complex] = {}
+_TABLE_FACTORS = 1 << 15
 
 
 def _top_level(a: int) -> int:
@@ -169,37 +175,36 @@ def _top_level(a: int) -> int:
     return k
 
 
+def _untabled_charge(a: int, r: int) -> int:
+    """L a: the exponentials of the L levels k in 2..r with a^k above
+    _TABLE_TOP, whose sums each mode computes anew (a each)."""
+    return max(0, r - _top_level(a)) * a
+
+
 def _fill_charge(a: int, r: int, rows: int) -> int:
-    """rows * (1 + L), the budget charge of rows level-r coefficients: L
-    counts the levels k in 2..r with a^k above _TABLE_TOP, whose sums each
-    mode computes anew (a exponentials each), where the tabled levels are
-    one lookup."""
-    return rows * (1 + max(0, r - _top_level(a)))
+    """rows * (1 + L a), the budget charge of rows level-r coefficients,
+    where the tabled levels are one lookup."""
+    return rows * (1 + _untabled_charge(a, r))
 
 
 def _level_factor(a: int, b: int, ar: int, br: int, w: int) -> complex:
     """prod_{k=2..r} _level_sum(a, a^k, c_k), c_k = w b^k mod a^k, from
     complex(1.0) in the order of k; ar, br = a^r, b^r and 0 <= w < a^r.
 
-    Where a^r <= _TABLE_TOP the product is one _prefixes entry, filled from
-    the entry a level below.  Above it the tabled levels are one entry and
-    each level above them is summed anew.
+    A level with a^r <= _TABLE_TOP is read from _tabled_factor; each level
+    above it multiplies its sum, computed anew, onto the level below.
     """
     if ar == a:
         return complex(1.0)
     if ar <= _TABLE_TOP:
-        p = _prefixes.get((a, b, ar, w))
-        if p is None:
-            below = _level_factor(a, b, ar // a, br // b, w % (ar // a))
-            p = _prefixes[a, b, ar, w] = below * _level_sum(a, ar, w * br % ar)
-        return p
-    k = _top_level(a)
-    ak, bk = a**k, b**k
-    factor = _level_factor(a, b, ak, bk, w % ak)
-    while ak < ar:
-        ak, bk = ak * a, bk * b
-        factor *= _level_sum(a, ak, w * bk % ak)
-    return factor
+        return _tabled_factor(a, b, ar, br, w)
+    return _level_factor(a, b, ar // a, br // b, w % (ar // a)) * _level_sum(a, ar, w * br % ar)
+
+
+@functools.lru_cache(maxsize=_TABLE_FACTORS)
+def _tabled_factor(a: int, b: int, ar: int, br: int, w: int) -> complex:
+    """_level_factor at a tabled level above the first, filled from the level below."""
+    return _level_factor(a, b, ar // a, br // b, w % (ar // a)) * _level_sum(a, ar, w * br % ar)
 
 
 def _f_values(ctx: AdeleContext, digits: Sequence[int], r: int, ms: range):

@@ -1,6 +1,8 @@
-"""Mutation check for the counting engine in src/ratbase/patterns.py.
+"""Mutation check for the counting engine (src/ratbase/patterns.py), the
+Fourier layer's caches and charges (fourier.py), and the budget, count and
+tile paths of adelic.py, cli.py and render.py.
 
-Each mutant replaces one exact text of the engine, and the tests it names
+Each mutant replaces one exact text of a module, and the tests it names
 must then fail: a mutant that passes them has survived, and the check
 fails.  Run from the repository root; it exits 1 if a mutant survives or
 cannot be run:
@@ -15,8 +17,8 @@ text that does not occur exactly once, or tests that do not run (exit codes
 catches it, never by dropping the mutant, and a change to a mutated line
 updates the mutant's old text with it.  The file's name keeps pytest from
 collecting it; tests/test_mutants.py checks the script itself.  The
-speed thresholds are listed apart, as equivalent mutants with their
-reasons, and are not run.
+speed and size thresholds are listed apart, as equivalent mutants with
+their reasons, and are not run.
 """
 from __future__ import annotations
 
@@ -53,6 +55,9 @@ class Outcome(NamedTuple):
 
 
 PATTERNS = "tests/test_patterns.py"
+FOURIER = "src/ratbase/fourier.py"
+LEVEL_TABLE = "tests/test_fourier.py::TestLevelSumTable"
+BUDGET = "tests/test_fourier.py::TestBudget"
 
 MUTANTS = (
     Mutant("step-read-no-wrap",
@@ -124,6 +129,85 @@ MUTANTS = (
            "finite = all(map(math.isfinite, (main, residual, scale)))", "finite = True",
            ("tests/test_cli.py::TestPatternsCommand",),
            "a float product past the largest float prints a row of inf, or of 0.0"),
+    Mutant("series-roots-uncounted",
+           "if self._keep(key, len(terms) + Q):", "if self._keep(key, len(terms)):",
+           (BUDGET,), "a fold's Q roots are held but not counted against the cap",
+           FOURIER),
+    Mutant("series-served-list-trimmed",
+           "for old in [k for k in self.lists if k != key]:", "for old in list(self.lists):",
+           (BUDGET,), "a store may drop the list it is serving", FOURIER),
+    Mutant("series-cap-ignored",
+           "        cap = max_enum()\n", "        cap = 10**7\n",
+           (BUDGET,), "the series cache holds the default cap's items under a lower cap",
+           FOURIER),
+    Mutant("series-64-bound-ignored",
+           "if len(self.lists) <= 64 and self.items + n <= cap:",
+           "if self.items + n <= cap:",
+           (BUDGET,), "the series cache holds more than 64 lists", FOURIER),
+    Mutant("series-wrong-fold",
+           "got = folds.get(Q)", "got = next(iter(folds.values()), None)",
+           (BUDGET,), "a held fold of another Q is served", FOURIER),
+    Mutant("factor-first-level-in-table",
+           "    if ar == a:\n        return complex(1.0)\n    if ar <= _TABLE_TOP:\n"
+           "        return _tabled_factor(a, b, ar, br, w)\n",
+           "    if ar <= _TABLE_TOP:\n"
+           "        return complex(1.0) if ar == a else _tabled_factor(a, b, ar, br, w)\n",
+           (f"{LEVEL_TABLE}::test_first_level_of_a_large_alphabet",),
+           "the first level is known only inside the table: a > 2^12 divides by zero",
+           FOURIER),
+    Mutant("factor-key-without-a",
+           "@functools.lru_cache(maxsize=_TABLE_FACTORS)\n",
+           "def _keyed_without_a(fill):\n"
+           "    held = {}\n"
+           "    def read(a, b, ar, br, w):\n"
+           "        if (b, ar, br, w) not in held:\n"
+           "            held[b, ar, br, w] = fill(a, b, ar, br, w)\n"
+           "        return held[b, ar, br, w]\n"
+           "    read.cache_clear = held.clear\n"
+           "    return read\n\n\n"
+           "@_keyed_without_a\n",
+           (f"{LEVEL_TABLE}::test_levels_of_equal_size_in_two_bases",),
+           "a^k = 81 at 9/1 and at 3/1 share one factor", FOURIER),
+    Mutant("factor-w-unreduced",
+           'the level below."""\n'
+           "    return _level_factor(a, b, ar // a, br // b, w % (ar // a))",
+           'the level below."""\n'
+           "    return _level_factor(a, b, ar // a, br // b, w)",
+           (f"{LEVEL_TABLE}::test_holds_no_level_above_its_bound",),
+           "a factor is filled under w mod a^r at every level below r, so one "
+           "product is held under many keys", FOURIER),
+    Mutant("untabled-level-charged-one",
+           "return max(0, r - _top_level(a)) * a", "return max(0, r - _top_level(a))",
+           (f"{BUDGET}::test_fills_are_charged_their_untabled_levels",),
+           "a level above the table is charged 1, not its a exponentials", FOURIER),
+    Mutant("coefficient-uncharged",
+           "    if ar > _TABLE_TOP and r > 1:  # levels above the table, each summed anew\n"
+           "        _check_budget(_untabled_charge(a, r))\n", "",
+           (f"{BUDGET}::test_a_coefficient_is_charged_its_untabled_levels",),
+           "one coeff_f sums levels above the table unchecked", FOURIER),
+    Mutant("fourier-digits-listed-first",
+           "        _check_budget(_fill_charge(base.a, args.r, base.a * (args.max_xi + 1)))\n",
+           "",
+           ("tests/test_cli.py::TestLevelBoundRefusals::test_fourier_table_of_a_huge_alphabet",),
+           "fourier without --d lists all a digits before any charge: a MemoryError",
+           "src/ratbase/cli.py"),
+    Mutant("fiber-depth-uncharged",
+           "    _check_budget(depth)  # the expansion takes about depth^2 steps\n", "",
+           ("tests/test_adelic.py::TestFibers::test_depth_is_charged",),
+           "fiber_coordinate expands any depth, in about depth^2 steps",
+           "src/ratbase/adelic.py"),
+    Mutant("count-bound-dropped",
+           "        if abs(n) >= _COUNT_BOUND:  # where int()'s limit is lifted, as the CLI does\n"
+           "            raise ValueError\n",
+           "",
+           ("tests/test_cli.py::TestBudgetVariable::test_bad_value_is_a_usage_error",),
+           "a count of 4301 digits is read where int()'s limit is lifted",
+           "src/ratbase/adelic.py"),
+    Mutant("tiles-sorted-without-real-lo",
+           "    rects.sort()\n", "    rects.sort(key=lambda R: (R.translate, R.digit))\n",
+           ("tests/test_render.py",),
+           "the boxes of one digit keep the order of tile_corners, not of real_lo",
+           "src/ratbase/render.py"),
 )
 
 # Mutants that change only speed or memory, listed so that no later change
@@ -141,6 +225,10 @@ EQUIVALENT = (
     Mutant("table-bases",
            "_TABLE_BASES = 64", "_TABLE_BASES = 1", (PATTERNS,),
            "holding fewer tables only rebuilds them"),
+    Mutant("factor-table-size",
+           "_TABLE_FACTORS = 1 << 15", "_TABLE_FACTORS = 1 << 12",
+           ("tests/test_fourier.py",),
+           "a smaller bound computes evicted factors again, bit-identical", FOURIER),
     Mutant("products-not-sliced",
            "            lo, hi = lo[:keep], hi[:keep]\n", "",
            (PATTERNS,),

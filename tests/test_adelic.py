@@ -509,6 +509,17 @@ class TestFibers:
         with pytest.raises(NotIntegral):
             fiber_coordinate(ctx32, Fraction(7, 4))
 
+    def test_depth_is_charged(self, ctx32, monkeypatch):
+        # the expansion takes about depth^2 steps: 0.27 s at depth 10^5
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "100")
+        with pytest.raises(ScaleExceeded, match="^enumeration of 100000 objects exceeds cap 100$"):
+            fiber_coordinate(ctx32, 1, depth=10**5)
+        with pytest.raises(ScaleExceeded, match="^enumeration of 101 objects"):
+            fiber_coordinate(ctx32, 1, depth=101)
+        assert fiber_coordinate(ctx32, 1, depth=100) == fiber_value_ref(ctx32, 1, 100, "alpha-digits")
+        assert fiber_coordinate(ctx32, Fraction(5, 3)) == \
+            fiber_value_ref(ctx32, Fraction(5, 3), 32, "alpha-digits")
+
     def test_rejects_unknown_scheme(self, ctx32):
         with pytest.raises(ValueError):
             fiber_coordinate(ctx32, Fraction(1), scheme="decimal")

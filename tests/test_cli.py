@@ -395,15 +395,36 @@ class TestLevelBoundRefusals:
         assert took < 1.0
 
     def test_fourier_table_is_charged_its_untabled_levels(self, capsys):
-        # 100001 rows times 1 + 315 levels above the shared table's bound
+        # 100001 rows times 1 + 3 exponentials at each of the 315 levels
+        # above the shared table's bound
         from ratbase import cli
         start = time.perf_counter()
         code = cli.main(["fourier", *BASE32, "--r", "322", "--max-xi", "100000", "--d", "1"])
         took = time.perf_counter() - start
         assert code == 3
         assert capsys.readouterr() == (
-            "", "error: enumeration of 31600316 objects exceeds cap 10000000\n")
+            "", "error: enumeration of 94600946 objects exceeds cap 10000000\n")
         assert took < 1.0
+
+    def test_fourier_table_of_a_huge_alphabet(self, capsys, monkeypatch):
+        # one level above the table at a = 2*10^7 + 1 is charged its a
+        # exponentials per row; every digit of a = 10^17 + 32 is charged
+        # before the digits are listed
+        from ratbase import cli
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "100")
+        assert cli.main(["fourier", "--a", "20000001", "--b", "20000000", "--d", "1",
+                         "--r", "2", "--max-xi", "1"]) == 3
+        assert capsys.readouterr() == (
+            "", "error: enumeration of 40000004 objects exceeds cap 100\n")
+        monkeypatch.delenv("RATBASE_MAX_ENUM")
+        start = time.perf_counter()
+        code = cli.main(["fourier", "--a", "100000000000000032", "--b", "100000000000000031",
+                         "--r", "1", "--max-xi", "1"])
+        took = time.perf_counter() - start
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: enumeration of 200000000000000064 objects exceeds cap 10000000\n")
+        assert took < 5.0
 
     def test_verify_refuses_a_huge_resolution_before_any_suite(self, capsys):
         from ratbase import cli

@@ -1,4 +1,5 @@
 """Fourier data: closed forms vs quadrature, exact vanishing, series sums."""
+import functools
 import itertools
 import math
 import random
@@ -37,7 +38,8 @@ from ratbase import (
     urysohn_pattern_estimate,
 )
 from ratbase import fourier, numeration, patterns
-from ratbase.fourier import _TABLE_TOP, _SeriesCache, _fill_charge, _series_coeffs
+from ratbase.fourier import (_TABLE_TOP, _SeriesCache, _fill_charge, _series_coeffs,
+                             _tabled_factor)
 from helpers import (ORACLE_BASES, bump_coefficient_decimal, coeff_f_ref, coeff_f_sum,
                      coeff_g_quadrature, coeff_g_ref, random_rational, urysohn_bruteforce,
                      urysohn_series_decimal, urysohn_series_ref)
@@ -559,19 +561,40 @@ class TestBudget:
             _check_series(ctx32, 2, 2, z, cutoff)
 
     def test_fills_are_charged_their_untabled_levels(self, ctx32, monkeypatch):
-        # at 3/2 the levels with 3^k <= 4096 are k <= 7; r = 9 adds two
+        # at 3/2 the levels with 3^k <= 4096 are k <= 7; r = 9 adds two, of
+        # 3 exponentials each
         assert [_fill_charge(3, r, 10) for r in (0, 1, 2, 7, 8, 9, 322)] == \
-            [10, 10, 10, 10, 20, 30, 3160]
-        assert [_fill_charge(2, r, 10) for r in (12, 13)] == [10, 20]
-        assert [_fill_charge(65, r, 10) for r in (1, 2, 3)] == [10, 20, 30]
+            [10, 10, 10, 10, 40, 70, 9460]
+        assert [_fill_charge(2, r, 10) for r in (12, 13)] == [10, 30]
+        assert [_fill_charge(65, r, 10) for r in (1, 2, 3)] == [10, 660, 1310]
         monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
-        with pytest.raises(ScaleExceeded, match="^enumeration of 1002 objects"):
-            coefficient_table(ctx32, [0], 9, 333)
-        assert coefficient_table(ctx32, [0], 9, 332).count("\n") == 1 + 333
+        with pytest.raises(ScaleExceeded, match="^enumeration of 1001 objects"):
+            coefficient_table(ctx32, [0], 9, 142)
+        assert coefficient_table(ctx32, [0], 9, 141).count("\n") == 1 + 142
         monkeypatch.setattr(fourier, "_series_coeffs", _SeriesCache())
-        with pytest.raises(ScaleExceeded, match="^enumeration of 1002 objects"):
-            eval_urysohn_series(ctx32, 1, 9, Fraction(1, 3), cutoff=334)
-        assert eval_urysohn_series(ctx32, 1, 9, Fraction(1, 3), cutoff=333).truncation.terms == 667
+        with pytest.raises(ScaleExceeded, match="^enumeration of 1001 objects"):
+            eval_urysohn_series(ctx32, 1, 9, Fraction(1, 3), cutoff=143)
+        assert eval_urysohn_series(ctx32, 1, 9, Fraction(1, 3), cutoff=142).truncation.terms == 285
+
+    def test_a_coefficient_is_charged_its_untabled_levels(self, ctx32, monkeypatch):
+        # 2 levels of 3 exponentials at 3/2 r = 9; a coefficient that sums
+        # none reads no budget, so an invalid cap goes unread
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "5")
+        with pytest.raises(ScaleExceeded, match="^enumeration of 6 objects exceeds cap 5$"):
+            coeff_f(ctx32, 1, 9, Fraction(1, 2**9))
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "6")
+        assert repr(coeff_f(ctx32, 1, 9, Fraction(1, 2**9))) == \
+            repr(coeff_f_ref(ctx32, 1, 9, Fraction(1, 2**9)))
+        monkeypatch.setenv("RATBASE_MAX_ENUM", "no cap")
+        for r, m in ((7, 1), (2, 5), (9, 3), (9, 0)):
+            assert repr(coeff_f(ctx32, 1, r, Fraction(m, 2**r))) == \
+                repr(coeff_f_ref(ctx32, 1, r, Fraction(m, 2**r)))
+        with pytest.raises(ValueError, match="^RATBASE_MAX_ENUM"):
+            coeff_f(ctx32, 1, 8, Fraction(1, 2**8))
+        ctx = AdeleContext(Base(4099, 2))
+        assert coeff_f(ctx, 7, 1, Fraction(5, 2)).value != 0
+        with pytest.raises(ValueError, match="^RATBASE_MAX_ENUM"):
+            coeff_f(ctx, 7, 2, Fraction(5, 4))
 
     def test_estimate_is_charged_its_point_values(self, ctx32, monkeypatch):
         monkeypatch.setenv("RATBASE_MAX_ENUM", "1000")
@@ -766,7 +789,7 @@ class SeriesCacheMachine(RuleBasedStateMachine):
         self.cache = _SeriesCache()
         self.calls: list[tuple] = []
         self.patch.setattr(fourier, "_series_coeffs", self.cache)
-        self.patch.setattr(fourier, "_prefixes", {})
+        _tabled_factor.cache_clear()
         self.patch.delenv("RATBASE_MAX_ENUM", raising=False)
 
     def teardown(self):
@@ -774,10 +797,12 @@ class SeriesCacheMachine(RuleBasedStateMachine):
 
     @staticmethod
     def _cold(call, *args):
-        """call(*args) on cold tables at the default cap."""
+        """call(*args) on cold tables at the default cap: a fresh cache of
+        level factors stands in for the shared one, which stays warm."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fourier, "_series_coeffs", _SeriesCache())
-            mp.setattr(fourier, "_prefixes", {})
+            mp.setattr(fourier, "_tabled_factor", functools.lru_cache(
+                maxsize=fourier._TABLE_FACTORS)(_tabled_factor.__wrapped__))
             mp.delenv("RATBASE_MAX_ENUM", raising=False)
             return call(*args)
 
@@ -847,7 +872,14 @@ class SeriesCacheMachine(RuleBasedStateMachine):
     def coefficient(self, base, data, r, m):
         ctx, d = AdeleContext(base), data.draw(st.integers(0, base.a - 1))
         xi = Fraction(m, base.b**r)
-        assert repr(coeff_f(ctx, d, r, xi)) == repr(self._cold(coeff_f, ctx, d, r, xi))
+        try:
+            got = coeff_f(ctx, d, r, xi)
+        except (ScaleExceeded, ValueError):
+            # refused by the cap, or by an invalid one: only a coefficient
+            # that sums levels above the shared table reads it
+            assert base.a**r > _TABLE_TOP
+            return
+        assert repr(got) == repr(self._cold(coeff_f, ctx, d, r, xi))
 
     @invariant()
     def one_count_under_one_bound(self):
@@ -860,21 +892,43 @@ def test_series_cache_keeps_one_rule():
         derandomize=True, database=None, max_examples=40, stateful_step_count=30))
 
 
+def _fill_every_tabled_residue(a: int, b: int) -> None:
+    """The level factor of every w prime to a at a's deepest tabled level,
+    which fills every tabled level below it."""
+    ak, bk = a, b
+    while ak * a <= _TABLE_TOP:
+        ak, bk = ak * a, bk * b
+    for w in range(ak):
+        if w % a:
+            fourier._level_factor(a, b, ak, bk, w)
+
+
 class TestLevelSumTable:
     """The products of the tabled level sums that every call shares, by
-    (a, b, a^k, w mod a^k)."""
+    (a, b, a^k, b^k, w mod a^k), in one bounded lru_cache."""
 
-    def test_levels_of_equal_size_in_two_bases(self, monkeypatch):
-        # a^k = 81 is level 2 at 9/2 and level 4 at 3/2, and the same m gives
-        # both the residue w mod 81; the key keeps the two products apart
-        ctx92, ctx32 = AdeleContext(Base(9, 2)), AdeleContext(Base(3, 2))
-        calls = [(ctx, d, r, Fraction(m, 2**r)) for ctx, r in ((ctx92, 2), (ctx32, 4))
-                 for m in range(1, 81) if m % 3 for d in (0, 1, 2)]
-        for order in (calls, calls[::-1]):
-            monkeypatch.setattr(fourier, "_prefixes", {})
-            for call in order:
-                assert repr(coeff_f(*call).value) == repr(coeff_f_ref(*call).value), call
-            assert {(a, b, ak) for a, b, ak, _ in fourier._prefixes} >= {(9, 2, 81), (3, 2, 81)}
+    @staticmethod
+    def _held(key) -> bool:
+        """Whether the shared table holds key: a read of it is a hit."""
+        hits = _tabled_factor.cache_info().hits
+        _tabled_factor(*key)
+        return _tabled_factor.cache_info().hits == hits + 1
+
+    def test_levels_of_equal_size_in_two_bases(self):
+        # a^k = 81 is level 2 at 9/b and level 4 at 3/b, and the same m gives
+        # both the residue w mod 81; the key keeps the two products apart.
+        # At b = 1 both levels also have b^k = 1, so only a tells them apart
+        for b in (1, 2):
+            ctx9, ctx3 = AdeleContext(Base(9, b)), AdeleContext(Base(3, b))
+            calls = [(ctx, d, r, Fraction(m, b**r)) for ctx, r in ((ctx9, 2), (ctx3, 4))
+                     for m in range(1, 81) if m % 3 for d in (0, 1, 2)]
+            for order in (calls, calls[::-1]):
+                _tabled_factor.cache_clear()
+                for call in order:
+                    assert repr(coeff_f(*call).value) == repr(coeff_f_ref(*call).value), call
+                # m = 1 at each base
+                assert self._held((9, b, 81, b**2, -pow(b, -2, 81) % 81))
+                assert self._held((3, b, 81, b**4, -pow(b, -4, 81) % 81))
 
     def test_cold_and_warm_calls_agree(self, ctx32, monkeypatch):
         def outputs():
@@ -883,20 +937,66 @@ class TestLevelSumTable:
                     coefficient_table(ctx32, [0, 1, 2], 5, 300),
                     repr(eval_urysohn_series(ctx32, 2, 4, Fraction(5, 7), 200).value))
 
-        monkeypatch.setattr(fourier, "_prefixes", {})
+        _tabled_factor.cache_clear()
         cold = outputs()
-        assert fourier._prefixes
+        assert _tabled_factor.cache_info().currsize
         assert outputs() == cold
 
-    def test_holds_no_level_above_its_bound(self, ctx32, monkeypatch):
-        monkeypatch.setattr(fourier, "_prefixes", {})
+    def test_holds_no_level_above_its_bound(self, ctx32):
+        _tabled_factor.cache_clear()
         coefficient_table(ctx32, [1], 12, 3000)
-        sizes = {ak for _, _, ak, _ in fourier._prefixes}
+        # the table holds exactly these keys: as many, and each is read back
+        ws = {-m * pow(2, -12, 3**12) % 3**12 for m in range(3001) if m % 3}
+        keys = {(3, 2, 3**k, 2**k, w % 3**k) for w in ws for k in range(2, 8)}
+        assert _tabled_factor.cache_info().currsize == len(keys)
+        assert all(self._held(key) for key in keys)
+        sizes = {ak for _, _, ak, _, _ in keys}
         assert sizes == {3**k for k in range(2, 8)}
         assert max(sizes) <= _TABLE_TOP < 3**8
         # only residues prime to 3 occur: at most 3^7 - 3 products at 3/2
-        assert all(u % 3 for _, _, _, u in fourier._prefixes)
-        assert len(fourier._prefixes) <= 3**7 - 3
+        assert all(u % 3 for *_, u in keys)
+        assert len(keys) <= 3**7 - 3
+
+    def test_first_level_of_a_large_alphabet(self):
+        # 4099 > 2^12: no level is tabled, and level 1 is complex(1.0) all
+        # the same, never a table read
+        ctx = AdeleContext(Base(4099, 2))
+        for r in (1, 2, 3):
+            for m in (1, 2, 4098, 4100, 10**6 + 1):
+                for d in (0, 1, 4098):
+                    call = (ctx, d, r, Fraction(m, 2**r))
+                    assert repr(coeff_f(*call)) == repr(coeff_f_ref(*call)), call
+
+    def test_deepest_levels_under_the_default_recursion_limit(self):
+        # one frame a level above the table: 510 - 12 levels at 2/1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            for (a, b), r in (((2, 1), 510), ((3, 2), 322)):
+                ctx = AdeleContext(Base(a, b))
+                for m in (1, 5, 2**31 - 1):
+                    call = (ctx, 1, r, Fraction(m, b**r))
+                    assert repr(coeff_f(*call)) == repr(coeff_f_ref(*call)), call
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_evicted_factors_come_back_bit_identical(self, ctx32, monkeypatch):
+        # the first 60 coprime pairs (a <= 14) have about 125,000 tabled
+        # factors, more than the bound holds
+        def outputs():
+            monkeypatch.setattr(fourier, "_series_coeffs", _SeriesCache())
+            return (coefficient_table(ctx32, [0, 2], 9, 400),
+                    coefficient_table(AdeleContext(Base(7, 4)), [3], 4, 400),
+                    repr(eval_urysohn_series(ctx32, 2, 7, Fraction(5, 7), 300).value))
+
+        _tabled_factor.cache_clear()
+        cold = outputs()
+        pairs = [(a, b) for a in range(2, 15) for b in range(1, a) if math.gcd(a, b) == 1]
+        for a, b in pairs[:60]:
+            _fill_every_tabled_residue(a, b)
+        info = _tabled_factor.cache_info()
+        assert info.currsize == info.maxsize == fourier._TABLE_FACTORS < info.misses
+        assert outputs() == cold
 
 
 class TestLevelBound:

@@ -814,18 +814,30 @@ def _horizon_id(N: int) -> str:
     return str(N) if N < 10**40 else f"1e{len(str(N)) - 1}"
 
 
-def _check_steps(base: Base, pattern: Pattern, N: int, refused: bool) -> None:
+def _check_steps(base: Base, pattern: Pattern, N: int, refused: bool,
+                 limit: int = 0) -> None:
     """Counts at N minus counts at N - 1, at every position, exact and
-    padded, and the digit sums' difference, against the word of N."""
+    padded, and the digit sums' difference, against the word of N.
+
+    With a limit, each count runs under an alarm of that many seconds, so
+    a count that stalls fails then, not when it returns."""
+    def timed(count, *args, **kwargs):
+        signal.alarm(limit)
+        try:
+            return count(*args, **kwargs)
+        finally:
+            signal.alarm(0)
+
     m = len(pattern)
     lsf = encode(base, N).digits[::-1]
-    now, before = count_pattern(base, pattern, N), count_pattern(base, pattern, N - 1)
+    now = timed(count_pattern, base, pattern, N)
+    before = timed(count_pattern, base, pattern, N - 1)
 
     def at(stats, k, padded):
         counts = stats.padded_per_position if padded else stats.per_position
         if k in counts:
             return counts[k]
-        return count_pattern_at(base, pattern, k, stats.N, padded=padded)
+        return timed(count_pattern_at, base, pattern, k, stats.N, padded=padded)
 
     for k in range(len(lsf) + 1):
         window = tuple(lsf[k + i] if k + i < len(lsf) else 0 for i in range(m))
@@ -835,13 +847,14 @@ def _check_steps(base: Base, pattern: Pattern, N: int, refused: bool) -> None:
             hit if k + m <= len(lsf) else 0), k
     if refused:
         with pytest.raises(ScaleExceeded):
-            summatory_sod(base, N)
+            timed(summatory_sod, base, N)
     else:
-        assert summatory_sod(base, N) - summatory_sod(base, N - 1) == sum_of_digits(base, N)
+        assert timed(summatory_sod, base, N) - timed(summatory_sod, base, N - 1) == \
+            sum_of_digits(base, N)
 
 
 def _ring(signum, frame):
-    raise TimeoutError("the counts ran longer than 2 s")
+    raise TimeoutError("a count ran longer than 2 s")
 
 
 @pytest.mark.parametrize("a, b, w, N, refused", CONSECUTIVE,
@@ -850,12 +863,11 @@ def _ring(signum, frame):
 def test_counts_step_by_the_word_of_n(a, b, w, N, refused, monkeypatch):
     monkeypatch.delenv("RATBASE_MAX_ENUM", raising=False)
     base = Base(a, b)
-    # the alarm stops a count that stalls, so the test fails after 2 s, not
-    # when the count returns
+    # the alarm, armed anew for each count, stops a count that stalls, so
+    # the test fails after 2 s, not when the count returns
     previous = signal.signal(signal.SIGALRM, _ring)
-    signal.alarm(2)
     try:
-        _check_steps(base, Pattern.parse(base, w), N, refused)
+        _check_steps(base, Pattern.parse(base, w), N, refused, limit=2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

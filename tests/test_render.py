@@ -39,6 +39,13 @@ class TestRenderTiles:
         b = render_tiles(ctx32, 3, [1, 0])
         assert a == b
 
+    def test_repeated_translates_sort_by_real_corner(self, ctx32):
+        # each translate's boxes come in corner order, so only a repeated
+        # translate shows whether the sort reads real_lo
+        rects = render_tiles(ctx32, 2, [1, 0, 1])
+        keys = [(rc.translate, rc.digit, rc.real_lo) for rc in rects]
+        assert len(rects) == 27 and keys == sorted(keys)
+
     def test_integer_base_single_band(self):
         ctx = AdeleContext(Base(10, 1))
         rects = render_tiles(ctx, 1, [0])
